@@ -32,7 +32,6 @@ from .policies import (
     decide,
     run_policy,
     score_function,
-    update_scores,
 )
 from .regression import (
     LossBreakdown,

@@ -17,18 +17,16 @@ CSV outputs byte for byte. Exit codes: 0 success, 2 configuration error,
 3 I/O error, 4 internal failure.
 
 Budgets accept an absolute count (``--budget 64``) or a fraction of the
-trace length (``--budget 20%``, floor-rounded, minimum 2). ``KVE_WORKERS``
-caps the comparison worker pool.
+trace length (``--budget 20%``, floor-rounded, minimum 2). ``compare``
+runs its (policy, budget) cells one after another in this process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -142,19 +140,14 @@ def cmd_simulate(args) -> list[str]:
     trace = load_trace(args.trace)
     budget = resolve_budget(args.budget, trace.n)
     policy = _policy_from_args(args.policy, budget, args)
-    record = run_policy(trace, policy, record_attention=False)
+    record = run_policy(trace, policy)
     report = retained_mass(trace, record)
     out = _ensure_out_dir(args)
-    rows = []
-    evicted = {ev.step: ev.evicted for ev in record.events}
-    for i, tracked in record.step_sets():
-        rows.append([
-            i,
-            len(tracked),
-            "" if evicted[i] is None else evicted[i],
-            report.retained[i - 1],
-            report.tv[i - 1],
-        ])
+    # the cache grows by one token per step until it reaches the budget
+    rows = [
+        [ev.step, min(ev.step, budget), "" if ev.evicted is None else ev.evicted, r, tv]
+        for ev, r, tv in zip(record.events, report.retained.tolist(), report.tv.tolist())
+    ]
     steps_csv = out / "simulate.steps.csv"
     write_csv(steps_csv, ["i", "cache_size", "evicted", "retained_mass", "tv"], rows)
     summary = out / "simulate.summary.json"
@@ -175,7 +168,7 @@ def cmd_simulate(args) -> list[str]:
 def _compare_cell(trace, kind: str, budget_spec: str, args) -> list:
     budget = resolve_budget(budget_spec, trace.n)
     policy = _policy_from_args(kind, budget, args)
-    record = run_policy(trace, policy, record_attention=False)
+    record = run_policy(trace, policy)
     report = retained_mass(trace, record)
     mem = memory_footprint(policy, trace.n, trace.d)
     return [kind, budget_spec, budget, report.mean_retained, report.mean_tv, mem.ratio]
@@ -201,10 +194,7 @@ def cmd_compare(args) -> list[str]:
                 print(f"warning: skipping full policy at budget {b} (needs 100%)", file=sys.stderr)
                 continue
             cells.append((kind, b))
-    workers = int(os.environ.get("KVE_WORKERS", "4"))
-    workers = max(1, min(workers, len(cells)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda cell: _compare_cell(trace, cell[0], cell[1], args), cells))
+    rows = [_compare_cell(trace, kind, b, args) for kind, b in cells]
     out = _ensure_out_dir(args)
     path = out / "compare.csv"
     write_csv(
@@ -232,7 +222,7 @@ def cmd_profile(args) -> list[str]:
     if not args.trace:
         raise UsageError("--trace is required")
     trace = load_trace(args.trace)
-    full = run_policy(trace, PolicyConfig(kind="full", budget=trace.n), record_attention=False)
+    full = run_policy(trace, PolicyConfig(kind="full", budget=trace.n))
     profile = heavy_hitter_profile(full.final_scores, trace.n)
     out = _ensure_out_dir(args)
     path = out / "profile.csv"

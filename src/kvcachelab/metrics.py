@@ -2,9 +2,12 @@
 
 Task accuracy needs a real model; these proxies measure what an eviction
 policy actually destroys. ``retained mass`` is the fraction of a step's
-full-cache attention that lands on tokens still cached; the total-variation
-distance compares the restricted weights (zero-extended) against the exact
-ones. A full-budget run scores retained mass 1 and TV 0 at every step.
+full-cache attention that lands on tokens still cached, clamped into
+[0, 1]; the total-variation distance compares the restricted weights
+(zero-extended) against the exact ones. Both are computed per step inside
+the decode pass of :func:`kvcachelab.policies.run_policy`, which already
+holds the step's cached set and query; :func:`retained_mass` reads them off
+the record. A full-budget run scores retained mass 1 and TV 0 at every step.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .attention import exact_row, softmax_over
+from .attention import exact_row
 from .cache import QuantizationSpec
-from .errors import DimensionMismatch, EmptyRow, InvalidSpec, TraceMismatch
+from .errors import DimensionMismatch, EmptyRow, InconsistentState, InvalidSpec, TraceMismatch
 from .policies import AccumulatedScores, PolicyConfig, SimulationRecord
 from .trace import AttentionTrace
 
@@ -108,31 +111,18 @@ class DeviationReport:
 
 
 def retained_mass(trace: AttentionTrace, record: SimulationRecord) -> DeviationReport:
-    """Compare a run's per-step cached sets against exact attention.
+    """Per-step retained mass and TV of a run against exact attention.
 
-    For each step i with cached set S_i: retained r_i = sum of the exact
-    weights over S_i, and TV_i = total-variation distance between the
-    restricted softmax over S_i (extended by zeros) and the exact weights.
+    For each step i with cached set S_i (after that step's transition):
+    retained r_i = exact mass on S_i, computed as 1 minus the off-cache
+    mass and clamped into [0, 1] because that mass can round above 1; TV_i
+    = total-variation distance between the restricted softmax over S_i
+    (extended by zeros) and the exact weights. :func:`run_policy` measures
+    both in its decode pass; ``trace`` must be the trace it decoded.
     """
     if record.n != trace.n:
         raise TraceMismatch(f"record has n={record.n}, trace has n={trace.n}")
-    n = trace.n
-    retained = np.empty(n)
-    tv = np.empty(n)
-    for i, tracked in record.step_sets():
-        exact = exact_row(trace, i)
-        idx = np.fromiter((t - 1 for t in sorted(tracked)), dtype=np.int64, count=len(tracked))
-        on_cache = np.zeros(i, dtype=bool)
-        on_cache[idx] = True
-        # 1 - off-mass rather than sum-of-on-mass: exact 1.0 for a full cache
-        off = float(exact[~on_cache].sum())
-        r = 1.0 - off
-        masked, _ = softmax_over(trace, i, idx + 1)
-        # |masked - exact| over S, plus the exact mass that fell off-cache
-        tv_i = 0.5 * (float(np.abs(masked - exact[idx]).sum()) + off)
-        retained[i - 1] = r
-        tv[i - 1] = tv_i
-    return DeviationReport(retained=retained, tv=tv)
+    return DeviationReport(retained=record.retained, tv=record.tv)
 
 
 # --- heavy-hitter profile ---------------------------------------------------------
@@ -258,10 +248,10 @@ def check_good_distribution(
     union_excess = len(union - core)
     union_ok = union_excess <= alpha * k * len(vecs)
     # aggregate claims are implied by the per-sample bullets
-    if all(core_ok):
-        assert intersection_ok
-    if all(excess_ok):
-        assert union_ok
+    if all(core_ok) and not intersection_ok:
+        raise InconsistentState("every sample holds the core, yet their intersection does not")
+    if all(excess_ok) and not union_ok:
+        raise InconsistentState("every sample's excess is in bound, yet the union's is not")
     return GoodDistributionCheck(
         core=core,
         tau=tau,

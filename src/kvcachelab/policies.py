@@ -1,9 +1,9 @@
-"""Eviction policies and the decode-loop simulator.
+"""Eviction policies and the one-pass decode engine.
 
-A policy looks at the cache, the running per-token attention scores and the
-current step's weights, and names one victim: a cached token to evict, or
-the incoming token itself (refused admission), or nothing while the cache
-is still filling.
+A policy looks at the attended set (the cached tokens plus the incoming
+one), their running attention scores and the current step's weights, and
+names one victim: a cached token to evict, or the incoming token itself
+(refused admission), or nothing while the cache is still filling.
 
 Policies
 --------
@@ -33,20 +33,23 @@ Policies
     Memoryless heavy-hitter: evicts the cached token with the smallest
     current-step weight.
 
-Ties everywhere break toward the lowest token index, so a simulation is a
-pure function of (trace, config).
+:func:`run_policy` keeps the decode state in per-token numpy arrays: a
+cached-token bitmap whose ``flatnonzero`` is the sorted attended set, the
+accumulated scores and the cache slots. :func:`decide` is an argmin over
+arrays aligned with the attended set, ties going to the lowest token, so a
+simulation is a pure function of (trace, config). The same pass measures each
+step's retained mass and TV, so one loop yields the events and the metrics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .attention import StepAttention, masked_step
-from .cache import CacheState, EvictionEvent
+from .cache import EvictionEvent
 from .errors import BudgetExceeded, InconsistentState, InvalidSpec
 from .trace import AttentionTrace
 
@@ -88,32 +91,11 @@ class AccumulatedScores:
     scores: dict[int, float] = field(default_factory=dict)
     last_updated_step: int = 0
 
-    @classmethod
-    def empty(cls) -> "AccumulatedScores":
-        return cls({}, 0)
-
     def get(self, token: int, default: float = 0.0) -> float:
         return self.scores.get(token, default)
 
     def __contains__(self, token: int) -> bool:
         return token in self.scores
-
-    def without(self, token: int) -> "AccumulatedScores":
-        pruned = {t: s for t, s in self.scores.items() if t != token}
-        return AccumulatedScores(pruned, self.last_updated_step)
-
-    def zeroed(self, token: int) -> "AccumulatedScores":
-        updated = dict(self.scores)
-        updated[token] = 0.0
-        return AccumulatedScores(updated, self.last_updated_step)
-
-
-def update_scores(scores: AccumulatedScores, step_attention: StepAttention) -> AccumulatedScores:
-    """Add one step's weights; a first-seen token starts at its own weight."""
-    updated = dict(scores.scores)
-    for token, w in step_attention.weights.items():
-        updated[token] = updated.get(token, 0.0) + w
-    return AccumulatedScores(updated, step_attention.index)
 
 
 @dataclass(frozen=True)
@@ -157,74 +139,66 @@ class PolicyConfig:
         return self.budget - self.recent_budget
 
 
-def strided_pattern_member(token: int, step: int, stride: int) -> bool:
+def strided_pattern_member(token, step: int, stride: int):
     """Strided mask: a local window plus every stride-th earlier position."""
     gap = step - token
-    return gap < stride or gap % stride == 0
+    return (gap < stride) | (gap % stride == 0)
 
 
-def fixed_pattern_member(token: int, step: int, stride: int) -> bool:
+def fixed_pattern_member(token, step: int, stride: int):
     """Fixed mask: same block as the step, or a block-summary position."""
-    return (token - 1) // stride == (step - 1) // stride or token % stride == 0
+    return ((token - 1) // stride == (step - 1) // stride) | (token % stride == 0)
 
 
-def _min_score_token(tokens, scores: AccumulatedScores) -> int:
-    missing = [t for t in tokens if t not in scores]
-    if missing:
-        raise InconsistentState(f"no accumulated score for candidates {sorted(missing)}")
-    return min(tokens, key=lambda t: (scores.get(t), t))
+def decide(policy: PolicyConfig, tokens, weights, scores, shielded) -> int | None:
+    """Pick the eviction victim for a step on a cache at budget.
 
-
-def decide(
-    policy: PolicyConfig,
-    scores: AccumulatedScores,
-    cache: CacheState,
-    step_attention: StepAttention,
-    i: int,
-) -> int | None:
-    """Pick the eviction victim for step ``i`` on a cache at budget.
-
-    ``scores`` must already include the current step's weights (so the
-    incoming token carries its initial score). Returns the victim token
-    (possibly ``i`` itself) or None for the full policy.
+    ``tokens`` is the attended set in ascending order: the cached tokens,
+    then the incoming token last. ``weights`` are the step's softmax
+    weights over ``tokens``; ``scores`` their accumulated scores with this
+    step's weights already added (so the incoming token carries its initial
+    score); ``shielded`` marks h2o's recency window. Returns the victim
+    (possibly the incoming token) or None for the full policy. Every argmin
+    takes the first minimum, which is the lowest token.
     """
     kind = policy.kind
     if kind == "full":
         return None
-    tracked = cache.tracked
-    if not tracked:
+    tokens = np.asarray(tokens)
+    if tokens.size < 2:
         raise InconsistentState("decide() called on an empty cache")
+    cached = tokens[:-1]
+    incoming = int(tokens[-1])
     if kind == "local":
-        return min(tracked)
+        return int(cached[0])
     if kind == "sink_local":
-        movable = [t for t in tracked if t > policy.sink]
-        return min(movable) if movable else i
-    if kind == "sparse_strided":
-        off = [t for t in tracked if not strided_pattern_member(t, i, policy.stride)]
-        return min(off) if off else min(tracked)
-    if kind == "sparse_fixed":
-        off = [t for t in tracked if not fixed_pattern_member(t, i, policy.stride)]
-        return min(off) if off else min(tracked)
+        first_movable = int(np.searchsorted(cached, policy.sink, side="right"))
+        return int(cached[first_movable]) if first_movable < cached.size else incoming
+    if kind in ("sparse_strided", "sparse_fixed"):
+        member = strided_pattern_member if kind == "sparse_strided" else fixed_pattern_member
+        off = cached[~member(cached, incoming, policy.stride)]
+        return int(off[0]) if off.size else int(cached[0])
     if kind == "topk":
-        return min(tracked, key=lambda t: (step_attention.weight(t), t))
+        return int(cached[np.argmin(np.asarray(weights)[:-1])])
+    scores = np.asarray(scores)
+    if scores.shape != tokens.shape:
+        raise InconsistentState(f"{scores.size} accumulated scores for {tokens.size} candidates")
     if kind == "h2_only":
-        return _min_score_token(sorted(tracked) + [i], scores)
+        return int(tokens[np.argmin(scores)])
     if kind == "h2o":
-        shielded = set(cache.recent_tokens)
-        candidates = sorted(t for t in tracked if t not in shielded) + [i]
-        return _min_score_token(candidates, scores)
+        candidates = np.flatnonzero(~np.asarray(shielded))
+        return int(tokens[candidates[np.argmin(scores[candidates])]])
     raise InvalidSpec(f"unknown policy {kind!r}")
 
 
 @dataclass
 class SimulationRecord:
-    """Replayable outcome of one decode simulation.
+    """Outcome of one decode simulation.
 
-    Stores one eviction event per step; the per-step cached sets are
-    reconstructed on demand instead of materialized (a full-length list of
-    sets would dominate memory for long traces). ``step_attentions`` holds
-    the prediction-time weights (over cache plus the incoming token) when
-    the run recorded them.
+    One eviction event per step and, for each step i, the retained mass and
+    TV distance of the cached set S_i after that step's transition, measured
+    by the decode pass itself. The per-step cached sets are reconstructed on
+    demand (a full-length list of sets would dominate memory for long traces).
     """
 
     config: PolicyConfig
@@ -232,7 +206,8 @@ class SimulationRecord:
     events: list[EvictionEvent]
     final_tracked: frozenset[int]
     final_scores: AccumulatedScores
-    step_attentions: list[StepAttention] | None = None
+    retained: np.ndarray
+    tv: np.ndarray
 
     def step_sets(self) -> Iterator[tuple[int, frozenset[int]]]:
         """Yield (i, S_i): the cached set after each step's transition."""
@@ -245,57 +220,99 @@ class SimulationRecord:
                 current.add(ev.admitted)
             yield ev.step, frozenset(current)
 
-    def evicted_tokens(self) -> list[int]:
-        """Tokens that left the cache (refused incomings included)."""
-        return [ev.evicted for ev in self.events if ev.evicted is not None]
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    # the arithmetic of attention.softmax_over, which the outputs are pinned to
+    shift = float(logits.max())
+    expo = np.exp(logits - shift)
+    total = float(expo.sum())
+    return expo / total
 
 
-def run_policy(
-    trace: AttentionTrace,
-    policy: PolicyConfig,
-    record_attention: bool = True,
-) -> SimulationRecord:
+def _deviation(keys: np.ndarray, query: np.ndarray, on_cache: np.ndarray) -> tuple[float, float]:
+    """Retained mass and TV of the cached set ``on_cache`` (a bitmap over 1..i)."""
+    i = on_cache.size
+    # own gather for S_i, as for the decode logits: slicing the exact row's product changes last bits
+    exact = _softmax(keys[:i] @ query)
+    off = float(exact[~on_cache].sum())
+    idx = np.flatnonzero(on_cache)
+    masked = _softmax(keys[idx] @ query)
+    # |masked - exact| over S, plus the exact mass that fell off-cache
+    tv = 0.5 * (float(np.abs(masked - exact[idx]).sum()) + off)
+    # 1 - off-mass rather than sum-of-on-mass (exact 1.0 for a full cache);
+    # off-cache mass can round above 1, so clamp into [0, 1] (off >= 0)
+    return max(1.0 - off, 0.0), tv
+
+
+def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
     """Replay the budget-constrained generative process over a trace.
 
     Each step computes the restricted attention over the cached set plus
-    the incoming token, folds it into the accumulated scores, and lets the
-    policy resolve the eviction once the cache is at budget. Deterministic:
+    the incoming token, folds it into the accumulated scores, lets the
+    policy resolve the eviction once the cache is at budget, then measures
+    the cached set against the step's exact attention. Deterministic:
     equal (trace, policy) inputs give equal records.
     """
-    n = trace.n
-    if policy.kind == "full" and policy.budget < n:
+    n, budget = trace.n, policy.budget
+    if policy.kind == "full" and budget < n:
         raise BudgetExceeded(
-            f"full policy needs budget >= n ({policy.budget} < {n}); nothing may be evicted"
+            f"full policy needs budget >= n ({budget} < {n}); nothing may be evicted"
         )
-    state = CacheState(budget=policy.budget, dim=trace.d, recent_capacity=policy.recent_budget)
-    scores = AccumulatedScores.empty()
+    keys, queries = trace.k, trace.q
+    cached = np.zeros(n, dtype=bool)  # the cache, plus the incoming token mid-step
+    scores = np.zeros(n)
+    slot_of = np.zeros(n, dtype=np.int64)
+    # h2o's recency window: the cached tokens after `released`, the last token
+    # it let go (tokens are admitted in order, so these are the latest admitted)
+    window = policy.recent_budget
+    in_window = released = 0
     events: list[EvictionEvent] = []
-    attentions: list[StepAttention] | None = [] if record_attention else None
+    retained, tv = np.empty(n), np.empty(n)
 
     for i in range(1, n + 1):
-        attended = sorted(state.tracked)
-        attended.append(i)
-        sa = masked_step(trace, i, attended)
-        scores = update_scores(scores, sa)
+        query = queries[i - 1]
+        cached[i - 1] = True
+        attended = np.flatnonzero(cached[:i])
+        weights = _softmax(keys[attended] @ query)
+        scores[attended] += weights
         if not policy.init_score_from_self:
-            scores = scores.zeroed(i)
-        if state.at_budget:
-            victim = decide(policy, scores, state, sa, i)
+            scores[i - 1] = 0.0
+        victim = slot = None
+        if i <= budget:  # filling: step i writes slot i - 1
+            slot = i - 1
+        else:
+            shielded = attended >= released  # 0-based: tokens after `released`
+            shielded[-1] = False  # the incoming token is not admitted yet
+            victim = decide(policy, attended + 1, weights, scores[attended], shielded)
             if victim is None:
                 raise InconsistentState(f"policy {policy.kind} returned no victim at budget")
-            event = state.swap(victim, i, key=trace.key_row(i))
-            scores = scores.without(victim)
+            cached[victim - 1] = False
+            if victim != i:
+                slot = int(slot_of[victim - 1])
+                if victim > released:
+                    in_window -= 1
+        events.append(EvictionEvent(step=i, evicted=victim, admitted=i, slot=slot))
+        if slot is not None:
+            slot_of[i - 1] = slot
+            in_window += 1
+            if in_window > window:
+                # release the oldest window member: the next cached token
+                in_window = window
+                released += 1
+                while not cached[released - 1]:
+                    released += 1
+        if i <= budget:  # the cache holds all of 1..i, where the products give exactly r = 1, TV = 0
+            retained[i - 1], tv[i - 1] = 1.0, 0.0
         else:
-            event = state.admit(i, key=trace.key_row(i))
-        events.append(event)
-        if attentions is not None:
-            attentions.append(sa)
+            retained[i - 1], tv[i - 1] = _deviation(keys, query, cached[:i])
 
+    final = np.flatnonzero(cached) + 1
     return SimulationRecord(
         config=policy,
         n=n,
         events=events,
-        final_tracked=state.tracked,
-        final_scores=scores,
-        step_attentions=attentions,
+        final_tracked=frozenset(final.tolist()),
+        final_scores=AccumulatedScores({int(t): float(scores[t - 1]) for t in final}, n),
+        retained=retained,
+        tv=tv,
     )

@@ -185,6 +185,7 @@ def test_quantize_slots_preserves_structure():
     for t in (1, 2, 3):
         c.admit(t, rng.standard_normal(4))
     c.swap(1, 4, rng.standard_normal(4))
+    keys_before = c.keys_array().copy()
     q = quantize_slots(c, QuantizationSpec(bits=8))
     assert q.tracked == c.tracked
     assert q.recent_tokens == c.recent_tokens
@@ -193,8 +194,9 @@ def test_quantize_slots_preserves_structure():
         assert q.slot_of(t) == c.slot_of(t)
         scale = np.abs(c.key_of(t)).max() / 127
         np.testing.assert_allclose(q.key_of(t), c.key_of(t), atol=scale / 2 + 1e-12)
-    # original untouched
-    assert not np.array_equal(q.keys_array(), c.keys_array()) or True
+    # the copy is quantized, the original untouched
+    assert not np.array_equal(q.keys_array(), c.keys_array())
+    assert np.array_equal(c.keys_array(), keys_before)
     assert c.key_of(4) is not None
 
 

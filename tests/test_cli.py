@@ -104,6 +104,15 @@ def test_compare_deduplicates_policies(tmp_path, capsys):
     assert [r["policy"] for r in rows] == ["h2o", "local"]
 
 
+def test_compare_ignores_kve_workers(tmp_path, monkeypatch):
+    trace = _gen(tmp_path, n=40)
+    argv = ("compare", "--trace", trace, "--policies", "h2o,local,h2_only")
+    assert run(*argv, "--out-dir", tmp_path / "plain") == 0
+    monkeypatch.setenv("KVE_WORKERS", "abc")
+    assert run(*argv, "--out-dir", tmp_path / "env") == 0
+    assert (tmp_path / "env" / "compare.csv").read_bytes() == (tmp_path / "plain" / "compare.csv").read_bytes()
+
+
 def test_compare_needs_two_policies(tmp_path):
     trace = _gen(tmp_path, n=24)
     assert run("compare", "--trace", trace, "--policies", "h2o", "--out-dir", tmp_path) == 2

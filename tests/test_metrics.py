@@ -56,7 +56,7 @@ def test_aggregate_sparsity_groups():
 
 def test_full_policy_has_null_deviation():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=20, d=4, seed=1))
-    rec = kl.run_policy(t, kl.PolicyConfig(kind="full", budget=20), record_attention=False)
+    rec = kl.run_policy(t, kl.PolicyConfig(kind="full", budget=20))
     rep = kl.retained_mass(t, rec)
     np.testing.assert_allclose(rep.retained, 1.0, atol=1e-12)
     np.testing.assert_allclose(rep.tv, 0.0, atol=1e-12)
@@ -65,7 +65,7 @@ def test_full_policy_has_null_deviation():
 
 def test_singleton_cache_retained_mass_is_self_weight():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=12, d=4, seed=5))
-    rec = kl.run_policy(t, kl.PolicyConfig(kind="local", budget=1), record_attention=False)
+    rec = kl.run_policy(t, kl.PolicyConfig(kind="local", budget=1))
     rep = kl.retained_mass(t, rec)
     for i in range(1, 13):
         assert rep.retained[i - 1] == pytest.approx(kl.exact_step(t, i).weights[i], abs=1e-12)
@@ -76,7 +76,7 @@ def test_singleton_cache_retained_mass_is_self_weight():
 def test_trace_mismatch_detected():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=12, d=4, seed=5))
     other = kl.generate_trace(kl.SyntheticTraceSpec(n=10, d=4, seed=5))
-    rec = kl.run_policy(t, kl.PolicyConfig(kind="local", budget=3), record_attention=False)
+    rec = kl.run_policy(t, kl.PolicyConfig(kind="local", budget=3))
     with pytest.raises(TraceMismatch):
         kl.retained_mass(other, rec)
 
@@ -86,15 +86,24 @@ def test_h2o_beats_local_on_power_law_trace():
         kl.SyntheticTraceSpec(n=256, d=16, kind="power-law-keys", power_exponent=1.0, seed=3)
     )
     k = 51
-    h2o = kl.retained_mass(t, kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=k), record_attention=False))
-    loc = kl.retained_mass(t, kl.run_policy(t, kl.PolicyConfig(kind="local", budget=k), record_attention=False))
+    h2o = kl.retained_mass(t, kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=k)))
+    loc = kl.retained_mass(t, kl.run_policy(t, kl.PolicyConfig(kind="local", budget=k)))
     assert h2o.mean_retained > loc.mean_retained
+
+
+def test_retained_mass_never_negative():
+    # off-cache exact mass rounds above 1 at step 4 of this run (1 - off
+    # gives -2.2e-16 there); the retained mass is clamped to 0
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=4, d=2, kind="power-law-keys", seed=17))
+    rep = kl.retained_mass(t, kl.run_policy(t, kl.PolicyConfig(kind="local", budget=1)))
+    assert (rep.retained >= 0.0).all()
+    assert rep.retained[3] == 0.0
 
 
 # --- heavy-hitter profile ----------------------------------------------------------
 
 def _full_scores(trace):
-    rec = kl.run_policy(trace, kl.PolicyConfig(kind="full", budget=trace.n), record_attention=False)
+    rec = kl.run_policy(trace, kl.PolicyConfig(kind="full", budget=trace.n))
     return rec.final_scores
 
 

@@ -2,67 +2,69 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kvcachelab as kl
+import reference_engine as ref
 from kvcachelab.attention import StepAttention
 from kvcachelab.cache import CacheState
 from kvcachelab.errors import BudgetExceeded, InconsistentState, InvalidSpec
 from kvcachelab.policies import (
-    AccumulatedScores,
     decide,
     fixed_pattern_member,
     score_function,
     strided_pattern_member,
-    update_scores,
 )
+from kvcachelab.trace import TRACE_KINDS
 
 
 def _sa(i, weights):
     return StepAttention(index=i, weights=weights, normalizer=1.0)
 
 
-def _cache_with(tokens, budget, recent_capacity, recent=()):
-    """Cache holding `tokens`, with `recent` marked as the admitted tail."""
-    c = CacheState(budget=budget, dim=1, recent_capacity=recent_capacity)
-    for t in [t for t in tokens if t not in recent] + list(recent):
-        c.admit(t, np.zeros(1))
-    return c
+def _decide(cfg, cached, i, scores=None, weights=None, recent=()):
+    """Array decide on cached tokens plus incoming ``i``, from per-token dicts."""
+    tokens = sorted(cached) + [i]
+    w = [(weights or {}).get(t, 0.0) for t in tokens]
+    s = [(scores or {}).get(t, 0.0) for t in tokens]
+    return decide(cfg, tokens, w, s, [t in recent for t in tokens])
 
 
 def reference_h2o_victim(candidates, all_members, scores, h):
     """Literal form: argmax over removals of h(sum of surviving scores)."""
     best_v, best_val = None, -np.inf
     for v in sorted(candidates):
-        val = h(sum(scores.get(t) for t in all_members if t != v))
+        val = h(sum(scores[t] for t in all_members if t != v))
         if val > best_val:
             best_v, best_val = v, val
     return best_v
 
 
-# --- update_scores -----------------------------------------------------------
+# --- score accumulation (the reference loop the engine is pinned to) ----------
 
 def test_first_update_equals_own_weights():
     sa = _sa(1, {1: 1.0})
-    out = update_scores(AccumulatedScores.empty(), sa)
+    out = ref.update_scores(ref.RefScores.empty(), sa)
     assert out.scores == {1: 1.0}
     assert out.last_updated_step == 1
 
 
 def test_two_uniform_steps_accumulate():
-    scores = AccumulatedScores.empty()
-    scores = update_scores(scores, _sa(1, {1: 0.5, 2: 0.5}))
-    scores = update_scores(scores, _sa(2, {1: 0.5, 2: 0.5}))
+    scores = ref.RefScores.empty()
+    scores = ref.update_scores(scores, _sa(1, {1: 0.5, 2: 0.5}))
+    scores = ref.update_scores(scores, _sa(2, {1: 0.5, 2: 0.5}))
     assert scores.scores == {1: 1.0, 2: 1.0}
 
 
 def test_first_seen_tokens_initialize_at_their_weight():
-    scores = update_scores(AccumulatedScores.empty(), _sa(1, {1: 1.0}))
-    scores = update_scores(scores, _sa(3, {1: 0.2, 3: 0.8}))
+    scores = ref.update_scores(ref.RefScores.empty(), _sa(1, {1: 1.0}))
+    scores = ref.update_scores(scores, _sa(3, {1: 0.2, 3: 0.8}))
     assert scores.scores == {1: 1.2, 3: 0.8}
 
 
 def test_dropped_token_disappears():
-    scores = update_scores(AccumulatedScores.empty(), _sa(1, {1: 0.6, 2: 0.4}))
+    scores = ref.update_scores(ref.RefScores.empty(), _sa(1, {1: 0.6, 2: 0.4}))
     assert 1 not in scores.without(1)
     assert scores.without(1).scores == {2: 0.4}
 
@@ -71,74 +73,61 @@ def test_dropped_token_disappears():
 
 def test_h2o_evicts_lowest_scored_unshielded():
     cfg = kl.PolicyConfig(kind="h2o", budget=4, recent_frac=0.5)
-    cache = _cache_with([1, 2], budget=4, recent_capacity=2, recent=(3, 4))
-    scores = AccumulatedScores({1: 0.9, 2: 0.1, 3: 0.5, 4: 0.6, 5: 0.3}, 5)
-    sa = _sa(5, {1: 0.2, 2: 0.2, 3: 0.2, 4: 0.2, 5: 0.2})
-    victim = decide(cfg, scores, cache, sa, 5)
+    scores = {1: 0.9, 2: 0.1, 3: 0.5, 4: 0.6, 5: 0.3}
+    victim = _decide(cfg, [1, 2, 3, 4], 5, scores=scores, recent=(3, 4))
     assert victim == 2
-    ref = reference_h2o_victim([1, 2, 5], [1, 2, 3, 4, 5], scores, score_function("identity"))
-    assert victim == ref
+    ref_victim = reference_h2o_victim([1, 2, 5], [1, 2, 3, 4, 5], scores, score_function("identity"))
+    assert victim == ref_victim
 
 
 def test_h2o_can_refuse_incoming():
     cfg = kl.PolicyConfig(kind="h2o", budget=4, recent_frac=0.5)
-    cache = _cache_with([1, 2], budget=4, recent_capacity=2, recent=(3, 4))
-    scores = AccumulatedScores({1: 0.9, 2: 0.8, 3: 0.5, 4: 0.6, 5: 0.05}, 5)
-    sa = _sa(5, {5: 1.0})
-    assert decide(cfg, scores, cache, sa, 5) == 5
+    scores = {1: 0.9, 2: 0.8, 3: 0.5, 4: 0.6, 5: 0.05}
+    assert _decide(cfg, [1, 2, 3, 4], 5, scores=scores, recent=(3, 4)) == 5
 
 
 def test_local_evicts_oldest():
     cfg = kl.PolicyConfig(kind="local", budget=3)
-    cache = _cache_with([5, 6, 7], budget=3, recent_capacity=1)
-    assert decide(cfg, AccumulatedScores.empty(), cache, _sa(8, {}), 8) == 5
+    assert _decide(cfg, [5, 6, 7], 8) == 5
 
 
 def test_sink_local_protects_prefix():
     cfg = kl.PolicyConfig(kind="sink_local", budget=4, sink=2)
-    cache = _cache_with([1, 2, 3, 4], budget=4, recent_capacity=2)
-    assert decide(cfg, AccumulatedScores.empty(), cache, _sa(9, {}), 9) == 3
+    assert _decide(cfg, [1, 2, 3, 4], 9) == 3
     all_sinks = kl.PolicyConfig(kind="sink_local", budget=2, sink=5)
-    cache2 = _cache_with([1, 2], budget=2, recent_capacity=1)
-    assert decide(all_sinks, AccumulatedScores.empty(), cache2, _sa(9, {}), 9) == 9
+    assert _decide(all_sinks, [1, 2], 9) == 9
 
 
 def test_topk_uses_current_weights():
     cfg = kl.PolicyConfig(kind="topk", budget=3)
-    cache = _cache_with([1, 2, 3], budget=3, recent_capacity=1)
-    sa = _sa(4, {1: 0.5, 2: 0.1, 3: 0.3, 4: 0.1})
-    assert decide(cfg, AccumulatedScores.empty(), cache, sa, 4) == 2
+    assert _decide(cfg, [1, 2, 3], 4, weights={1: 0.5, 2: 0.1, 3: 0.3, 4: 0.1}) == 2
 
 
 def test_sparse_patterns_evict_off_pattern():
     stride = 4
     cfg = kl.PolicyConfig(kind="sparse_strided", budget=4, stride=stride)
-    cache = _cache_with([2, 9, 10, 11], budget=4, recent_capacity=2)
     i = 13
     # pattern at step 13, stride 4: gap < 4 (10, 11, 12, 13) or gap % 4 == 0 (9, 5, 1)
     assert strided_pattern_member(9, i, stride) and strided_pattern_member(10, i, stride)
     assert not strided_pattern_member(2, i, stride)
-    assert decide(cfg, AccumulatedScores.empty(), cache, _sa(i, {}), i) == 2
+    assert _decide(cfg, [2, 9, 10, 11], i) == 2
 
     cfgf = kl.PolicyConfig(kind="sparse_fixed", budget=4, stride=stride)
     # fixed pattern at step 13: same block {13..16} or block-final columns {4, 8, 12}
     assert fixed_pattern_member(12, 13, stride) and fixed_pattern_member(4, 13, stride)
     assert not fixed_pattern_member(9, 13, stride)
-    cache_f = _cache_with([4, 9, 12, 13], budget=4, recent_capacity=2)
-    assert decide(cfgf, AccumulatedScores.empty(), cache_f, _sa(14, {}), 14) == 9
+    assert _decide(cfgf, [4, 9, 12, 13], 14) == 9
 
 
 def test_full_policy_never_picks_victim():
     cfg = kl.PolicyConfig(kind="full", budget=8)
-    cache = _cache_with([1], budget=8, recent_capacity=4)
-    assert decide(cfg, AccumulatedScores.empty(), cache, _sa(2, {}), 2) is None
+    assert _decide(cfg, [1], 2) is None
 
 
 def test_h2o_missing_scores_is_inconsistent():
     cfg = kl.PolicyConfig(kind="h2o", budget=2, recent_frac=0.0)
-    cache = _cache_with([1, 2], budget=2, recent_capacity=0)
     with pytest.raises(InconsistentState):
-        decide(cfg, AccumulatedScores({1: 0.5}, 2), cache, _sa(3, {}), 3)
+        decide(cfg, [1, 2, 3], [0.0, 0.0, 0.0], [0.5], [False, False, False])
 
 
 # --- shortcut equivalence and score-function invariance ---------------------------
@@ -150,18 +139,16 @@ def test_min_score_equals_literal_argmax_and_h_invariance():
         recent_cap = int(rng.integers(0, k // 2 + 1))
         tokens = list(range(1, k + 1))
         recent = tuple(tokens[k - recent_cap:]) if recent_cap else ()
-        cache = _cache_with(tokens, budget=k, recent_capacity=recent_cap, recent=recent)
         i = k + 1
         values = rng.uniform(0.001, 10.0, size=k + 1)
-        scores = AccumulatedScores({t: float(values[t - 1]) for t in tokens + [i]}, i)
-        sa = _sa(i, {})
+        scores = {t: float(values[t - 1]) for t in tokens + [i]}
         victims = set()
         for fn in ("identity", "sqrt1p", "log1p"):
             cfg = kl.PolicyConfig(kind="h2o", budget=k, score_fn=fn)
-            victim = decide(cfg, scores, cache, sa, i)
+            victim = _decide(cfg, tokens, i, scores=scores, recent=recent)
             candidates = [t for t in tokens if t not in recent] + [i]
-            ref = reference_h2o_victim(candidates, tokens + [i], scores, score_function(fn))
-            assert victim == ref
+            ref_victim = reference_h2o_victim(candidates, tokens + [i], scores, score_function(fn))
+            assert victim == ref_victim
             victims.add(victim)
         assert len(victims) == 1  # h never changes the argmax
 
@@ -171,13 +158,21 @@ def test_min_score_equals_literal_argmax_and_h_invariance():
 def test_full_run_matches_exact_attention():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=24, d=4, seed=2))
     rec = kl.run_policy(t, kl.PolicyConfig(kind="full", budget=24))
-    for sa in rec.step_attentions:
-        exact = kl.exact_step(t, sa.index)
-        assert sa.weights.keys() == exact.weights.keys()
+    # step i only reads the first i tokens, so what step i adds to the scores
+    # of a run over that prefix is exactly its prediction-time weights
+    prev = {}
+    for i in range(1, t.n + 1):
+        prefix = kl.AttentionTrace(q=t.q[:i], k=t.k[:i])
+        scores = kl.run_policy(prefix, kl.PolicyConfig(kind="full", budget=i)).final_scores.scores
+        exact = kl.exact_step(t, i)
+        assert scores.keys() == exact.weights.keys()
         for j, w in exact.weights.items():
-            assert sa.weights[j] == pytest.approx(w, abs=1e-12)
+            assert scores[j] - prev.get(j, 0.0) == pytest.approx(w, abs=1e-12)
+        prev = scores
+    assert prev == rec.final_scores.scores
     for i, tracked in rec.step_sets():
         assert tracked == frozenset(range(1, i + 1))
+    assert (rec.retained == 1.0).all() and (rec.tv == 0.0).all()
 
 
 def test_oversized_budget_behaves_like_full():
@@ -217,42 +212,37 @@ def test_eviction_contract_all_policies_small():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=48, d=4, kind="power-law-keys", seed=9))
     for kind in kl.POLICY_KINDS:
         budget = t.n if kind == "full" else 12
-        rec = kl.run_policy(t, kl.PolicyConfig(kind=kind, budget=budget), record_attention=False)
+        rec = kl.run_policy(t, kl.PolicyConfig(kind=kind, budget=budget))
         assert _contract_violations(rec, budget) == 0
 
 
 def test_h2o_never_evicts_recent_window():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=64, d=4, kind="power-law-keys", seed=5))
     cfg = kl.PolicyConfig(kind="h2o", budget=16, recent_frac=0.5)
+    rec = kl.run_policy(t, cfg)
+    # replay the run on a CacheState, whose ring holds the recent window
     state = CacheState(budget=16, dim=t.d, recent_capacity=cfg.recent_budget)
-    scores = AccumulatedScores.empty()
-    from kvcachelab.attention import masked_step
-
-    for i in range(1, t.n + 1):
-        sa = masked_step(t, i, sorted(state.tracked) + [i])
-        scores = update_scores(scores, sa)
-        if state.at_budget:
-            recent_before = set(state.recent_tokens)
-            victim = decide(cfg, scores, state, sa, i)
-            assert victim not in recent_before
-            state.swap(victim, i, t.key_row(i))
-            scores = scores.without(victim)
+    for ev in rec.events:
+        key = t.key_row(ev.admitted)
+        if ev.evicted is None:
+            assert state.admit(ev.admitted, key) == ev
         else:
-            state.admit(i, t.key_row(i))
+            assert ev.evicted not in state.recent_tokens
+            assert state.swap(ev.evicted, ev.admitted, key) == ev
 
 
 def test_determinism():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=40, d=4, kind="power-law-keys", seed=8))
     cfg = kl.PolicyConfig(kind="h2o", budget=10)
-    a = kl.run_policy(t, cfg, record_attention=False)
-    b = kl.run_policy(t, cfg, record_attention=False)
+    a = kl.run_policy(t, cfg)
+    b = kl.run_policy(t, cfg)
     assert a.events == b.events
     assert a.final_scores.scores == b.final_scores.scores
 
 
 def test_scores_cover_exactly_tracked_tokens():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=40, d=4, kind="power-law-keys", seed=8))
-    rec = kl.run_policy(t, kl.PolicyConfig(kind="h2_only", budget=10), record_attention=False)
+    rec = kl.run_policy(t, kl.PolicyConfig(kind="h2_only", budget=10))
     final_step_set = None
     for _, s in rec.step_sets():
         final_step_set = s
@@ -261,11 +251,10 @@ def test_scores_cover_exactly_tracked_tokens():
 
 def test_zero_init_flag_changes_dynamics():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=32, d=4, kind="power-law-keys", seed=1))
-    default = kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=8), record_attention=False)
+    default = kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=8))
     zeroed = kl.run_policy(
         t,
         kl.PolicyConfig(kind="h2o", budget=8, init_score_from_self=False),
-        record_attention=False,
     )
     # with zero initialization the incoming token always loses the argmax,
     # so nothing after warmup is ever admitted
@@ -280,8 +269,8 @@ def test_h2o_dominates_local_stepwise_on_power_law():
         kl.SyntheticTraceSpec(n=256, d=16, kind="power-law-keys", power_exponent=1.0, seed=0)
     )
     k = 51
-    h2o = kl.retained_mass(t, kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=k), record_attention=False))
-    loc = kl.retained_mass(t, kl.run_policy(t, kl.PolicyConfig(kind="local", budget=k), record_attention=False))
+    h2o = kl.retained_mass(t, kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=k)))
+    loc = kl.retained_mass(t, kl.run_policy(t, kl.PolicyConfig(kind="local", budget=k)))
     assert (h2o.retained >= loc.retained).mean() >= 0.9
 
 
@@ -294,3 +283,46 @@ def test_config_validation():
         kl.PolicyConfig(kind="h2o", budget=4, recent_frac=1.5)
     cfg = kl.PolicyConfig(kind="h2o", budget=5, recent_frac=0.5)
     assert cfg.recent_budget + cfg.heavy_budget == cfg.budget
+
+
+# --- equivalence with the reference dict loop ---------------------------------------
+
+@st.composite
+def _runs(draw):
+    n = draw(st.integers(1, 80))
+    spec = kl.SyntheticTraceSpec(
+        n=n,
+        d=draw(st.integers(1, 8)),
+        kind=draw(st.sampled_from(TRACE_KINDS)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    cfg = kl.PolicyConfig(
+        kind=draw(st.sampled_from(kl.POLICY_KINDS)),
+        budget=draw(st.integers(1, n + 2)),
+        recent_frac=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        sink=draw(st.integers(0, 12)),
+        stride=draw(st.integers(1, 12)),
+        init_score_from_self=draw(st.booleans()),
+    )
+    return spec, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(_runs())
+def test_engine_matches_reference_bit_for_bit(run):
+    spec, cfg = run
+    t = kl.generate_trace(spec)
+    if cfg.kind == "full" and cfg.budget < t.n:
+        for engine in (kl.run_policy, ref.run_policy):
+            with pytest.raises(BudgetExceeded):
+                engine(t, cfg)
+        return
+    got = kl.run_policy(t, cfg)
+    want = ref.run_policy(t, cfg, record_attention=False)
+    retained, tv = ref.retained_mass(t, want)
+    assert got.events == want.events
+    assert got.final_tracked == want.final_tracked
+    assert got.final_scores.scores == want.final_scores.scores
+    # the engine clamps the retained mass into [0, 1]; otherwise nothing moves
+    assert np.array_equal(got.retained, np.maximum(retained, 0.0))
+    assert np.array_equal(got.tv, tv)

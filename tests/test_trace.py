@@ -107,7 +107,7 @@ def test_power_law_concentrates_accumulated_mass():
     # Reference oracle: exact accumulation over a full (no-eviction) run.
     spec = kl.SyntheticTraceSpec(n=128, d=16, kind="power-law-keys", power_exponent=1.0, seed=0)
     t = kl.generate_trace(spec)
-    full = kl.run_policy(t, kl.PolicyConfig(kind="full", budget=128), record_attention=False)
+    full = kl.run_policy(t, kl.PolicyConfig(kind="full", budget=128))
     raw = np.array([full.final_scores.get(tok) for tok in range(1, 129)])
     top_count = max(1, round(0.1 * 128))
     share = np.sort(raw)[::-1][:top_count].sum() / raw.sum()
