@@ -18,7 +18,10 @@ CSV outputs byte for byte. Exit codes: 0 success, 2 configuration error,
 
 Budgets accept an absolute count (``--budget 64``) or a fraction of the
 trace length (``--budget 20%``, floor-rounded, minimum 2). ``compare``
-runs its (policy, budget) cells one after another in this process.
+runs its (policy, budget) cells one after another in this process, keeping
+only each run's eviction schedule, then measures every cell in one shared
+pass over the exact attention map; ``simulate`` makes the same pass for its
+one run, so a cell's numbers equal the matching ``simulate`` summary.
 """
 
 from __future__ import annotations
@@ -32,8 +35,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import KVCacheLabError, MalformedTrace, MaxIterationsExceeded
-from .metrics import heavy_hitter_profile, memory_footprint, retained_mass, trace_sparsity
+from .errors import InvalidSpec, KVCacheLabError, MalformedTrace, MaxIterationsExceeded
+from .metrics import (
+    deviation_reports,
+    heavy_hitter_profile,
+    memory_footprint,
+    retained_mass,
+    trace_sparsity,
+)
 from .policies import POLICY_KINDS, PolicyConfig, run_policy
 from .regression import newton_solve, random_problem
 from .submodular import (
@@ -165,15 +174,6 @@ def cmd_simulate(args) -> list[str]:
     return [str(steps_csv), str(summary)]
 
 
-def _compare_cell(trace, kind: str, budget_spec: str, args) -> list:
-    budget = resolve_budget(budget_spec, trace.n)
-    policy = _policy_from_args(kind, budget, args)
-    record = run_policy(trace, policy)
-    report = retained_mass(trace, record)
-    mem = memory_footprint(policy, trace.n, trace.d)
-    return [kind, budget_spec, budget, report.mean_retained, report.mean_tv, mem.ratio]
-
-
 def cmd_compare(args) -> list[str]:
     if not args.trace:
         raise UsageError("--trace is required")
@@ -190,11 +190,18 @@ def cmd_compare(args) -> list[str]:
         if kind not in POLICY_KINDS:
             raise UsageError(f"--policies contains unknown policy {kind!r}")
         for b in budgets:
-            if kind == "full" and resolve_budget(b, trace.n) < trace.n:
+            budget = resolve_budget(b, trace.n)
+            if kind == "full" and budget < trace.n:
                 print(f"warning: skipping full policy at budget {b} (needs 100%)", file=sys.stderr)
                 continue
-            cells.append((kind, b))
-    rows = [_compare_cell(trace, kind, b, args) for kind, b in cells]
+            cells.append((b, _policy_from_args(kind, budget, args)))
+    schedules = [run_policy(trace, policy).evicted_at for _, policy in cells]
+    reports = deviation_reports(trace, schedules)
+    rows = [
+        [policy.kind, b, policy.budget, report.mean_retained, report.mean_tv,
+         memory_footprint(policy, trace.n, trace.d).ratio]
+        for (b, policy), report in zip(cells, reports)
+    ]
     out = _ensure_out_dir(args)
     path = out / "compare.csv"
     write_csv(
@@ -209,7 +216,10 @@ def cmd_sparsity(args) -> list[str]:
     if not args.trace:
         raise UsageError("--trace is required")
     trace = load_trace(args.trace)
-    report = trace_sparsity(trace, threshold_frac=args.threshold_frac)
+    try:
+        report = trace_sparsity(trace, threshold_frac=args.threshold_frac)
+    except InvalidSpec as exc:
+        raise UsageError(f"--threshold-frac: {exc}") from None
     out = _ensure_out_dir(args)
     path = out / "sparsity.csv"
     write_csv(path, ["row", "sparsity"], [[i + 1, s] for i, s in enumerate(report.per_row)])

@@ -1,13 +1,22 @@
 """Desk-scale measurements: sparsity, eviction damage, heavy-hitter shape.
 
 Task accuracy needs a real model; these proxies measure what an eviction
-policy actually destroys. ``retained mass`` is the fraction of a step's
-full-cache attention that lands on tokens still cached, clamped into
-[0, 1]; the total-variation distance compares the restricted weights
-(zero-extended) against the exact ones. Both are computed per step inside
-the decode pass of :func:`kvcachelab.policies.run_policy`, which already
-holds the step's cached set and query; :func:`retained_mass` reads them off
-the record. A full-budget run scores retained mass 1 and TV 0 at every step.
+policy actually destroys. At step i, with exact shifted exponentials
+``e_it`` (:func:`kvcachelab.attention.exact_blocks`) and the cached set S_i
+after the step's transition, the off-cache mass is
+
+    off_i = sum_{t <= i, evicted_at[t] <= i} e_it / sum_{t <= i} e_it
+
+``retained mass`` is ``r_i = max(1 - off_i, 0)``: the fraction of the full
+attention that lands on tokens still cached (one minus the off-cache mass,
+so a full cache scores exactly 1; the clamp catches ``off_i`` rounding above
+1). The total-variation distance between the softmax restricted to S_i
+(renormalised, zero-extended) and the exact row is ``min(off_i, 1)``,
+because ``sum_S |a_t / (1 - off) - a_t| = off`` and the off-cache entries
+add ``off`` again, halved. Every quantity comes from one blocked pass over
+the exact attention map, which :func:`deviation_reports` shares between any
+number of runs over the same trace; :func:`trace_sparsity` reads the same
+blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .attention import exact_row
+from .attention import exact_blocks
 from .cache import QuantizationSpec
 from .errors import DimensionMismatch, EmptyRow, InconsistentState, InvalidSpec, TraceMismatch
 from .policies import AccumulatedScores, PolicyConfig, SimulationRecord
@@ -27,13 +36,17 @@ from .trace import AttentionTrace
 
 # --- attention sparsity ----------------------------------------------------
 
+def _check_threshold(threshold_frac: float) -> None:
+    if not 0.0 < threshold_frac < 1.0:
+        raise InvalidSpec("threshold_frac must lie in (0, 1)")
+
+
 def row_sparsity(weights, threshold_frac: float) -> float:
     """Fraction of entries below ``threshold_frac * max(weights)``."""
     w = np.asarray(weights, dtype=np.float64)
     if w.size == 0:
         raise EmptyRow("cannot measure sparsity of an empty row")
-    if not 0.0 < threshold_frac < 1.0:
-        raise InvalidSpec("threshold_frac must lie in (0, 1)")
+    _check_threshold(threshold_frac)
     if (w < 0).any():
         raise InvalidSpec("weights must be non-negative")
     return float((w < threshold_frac * w.max()).mean())
@@ -59,13 +72,18 @@ class SparsityReport:
 
 
 def trace_sparsity(trace: AttentionTrace, threshold_frac: float = 0.01) -> SparsityReport:
-    """Sparsity of each padded row of the exact attention map."""
+    """Sparsity of each padded row of the exact attention map.
+
+    A block row's largest entry is 1, so its entries below the threshold
+    are those below ``threshold_frac``; the future entries (exact zeros)
+    and the padding columns beyond the block always are.
+    """
+    _check_threshold(threshold_frac)
     n = trace.n
     fracs = np.empty(n)
-    for i in range(1, n + 1):
-        row = np.zeros(n)
-        row[:i] = exact_row(trace, i)
-        fracs[i - 1] = row_sparsity(row, threshold_frac)
+    for lo, e in exact_blocks(trace):
+        hi = e.shape[1]
+        fracs[lo:hi] = ((e < threshold_frac).sum(axis=1) + (n - hi)) / n
     return SparsityReport(
         per_row=fracs,
         threshold_frac=threshold_frac,
@@ -110,19 +128,42 @@ class DeviationReport:
         return float(self.tv.mean())
 
 
-def retained_mass(trace: AttentionTrace, record: SimulationRecord) -> DeviationReport:
-    """Per-step retained mass and TV of a run against exact attention.
+def deviation_reports(trace: AttentionTrace, schedules: Sequence[np.ndarray]) -> list[DeviationReport]:
+    """Per-step retained mass and TV of several runs over one trace.
 
-    For each step i with cached set S_i (after that step's transition):
-    retained r_i = exact mass on S_i, computed as 1 minus the off-cache
-    mass and clamped into [0, 1] because that mass can round above 1; TV_i
-    = total-variation distance between the restricted softmax over S_i
-    (extended by zeros) and the exact weights. :func:`run_policy` measures
-    both in its decode pass; ``trace`` must be the trace it decoded.
+    Each schedule is a run's ``evicted_at`` vector. The exact blocks are
+    computed once for all of them, and each schedule's sums are taken on
+    its own, so a run's numbers do not depend on which runs share the pass.
+    """
+    n = trace.n
+    for evicted_at in schedules:
+        if len(evicted_at) != n:
+            raise TraceMismatch(f"schedule has n={len(evicted_at)}, trace has n={n}")
+    off = np.empty((len(schedules), n))
+    for lo, e in exact_blocks(trace):
+        hi = e.shape[1]
+        steps = np.arange(lo + 1, hi + 1)[:, None]
+        totals = e.sum(axis=1)
+        for run, evicted_at in enumerate(schedules):
+            # a future token t > i has evicted_at[t] >= t > i, so only t <= i can count
+            gone = evicted_at[:hi] <= steps
+            off[run, lo:hi] = (e * gone).sum(axis=1) / totals
+    return [
+        DeviationReport(retained=np.maximum(1.0 - row, 0.0), tv=np.minimum(row, 1.0))
+        for row in off
+    ]
+
+
+def retained_mass(trace: AttentionTrace, record: SimulationRecord) -> DeviationReport:
+    """Per-step retained mass and TV of one run against exact attention.
+
+    For each step i with cached set S_i (after that step's transition), see
+    the module docstring for the formulas; ``trace`` must be the trace the
+    run decoded.
     """
     if record.n != trace.n:
         raise TraceMismatch(f"record has n={record.n}, trace has n={trace.n}")
-    return DeviationReport(retained=record.retained, tv=record.tv)
+    return deviation_reports(trace, [record.evicted_at])[0]
 
 
 # --- heavy-hitter profile ---------------------------------------------------------

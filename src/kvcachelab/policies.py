@@ -37,8 +37,12 @@ Policies
 cached-token bitmap whose ``flatnonzero`` is the sorted attended set, the
 accumulated scores and the cache slots. :func:`decide` is an argmin over
 arrays aligned with the attended set, ties going to the lowest token, so a
-simulation is a pure function of (trace, config). The same pass measures each
-step's retained mass and TV, so one loop yields the events and the metrics.
+simulation is a pure function of (trace, config). The loop makes decisions
+and does not measure: besides the events it records, per token, the step at
+which the token left the cache (``evicted_at``). The exact rows that
+retained mass and TV compare against depend only on the trace, so
+:mod:`kvcachelab.metrics` computes them once, in blocks, for any number of
+runs over the same trace.
 """
 
 from __future__ import annotations
@@ -195,10 +199,13 @@ def decide(policy: PolicyConfig, tokens, weights, scores, shielded) -> int | Non
 class SimulationRecord:
     """Outcome of one decode simulation.
 
-    One eviction event per step and, for each step i, the retained mass and
-    TV distance of the cached set S_i after that step's transition, measured
-    by the decode pass itself. The per-step cached sets are reconstructed on
-    demand (a full-length list of sets would dominate memory for long traces).
+    One eviction event per step, the final cache and its scores, and
+    ``evicted_at``: for each token (0-based row t - 1) the step at which it
+    left the cache, ``t`` itself when it was refused and ``n + 1`` when it
+    was never evicted. Token t is in the cached set S_i after step i's
+    transition exactly when ``t <= i < evicted_at[t - 1]``. The per-step
+    cached sets are reconstructed on demand (a full-length list of sets
+    would dominate memory for long traces).
     """
 
     config: PolicyConfig
@@ -206,8 +213,7 @@ class SimulationRecord:
     events: list[EvictionEvent]
     final_tracked: frozenset[int]
     final_scores: AccumulatedScores
-    retained: np.ndarray
-    tv: np.ndarray
+    evicted_at: np.ndarray
 
     def step_sets(self) -> Iterator[tuple[int, frozenset[int]]]:
         """Yield (i, S_i): the cached set after each step's transition."""
@@ -229,29 +235,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return expo / total
 
 
-def _deviation(keys: np.ndarray, query: np.ndarray, on_cache: np.ndarray) -> tuple[float, float]:
-    """Retained mass and TV of the cached set ``on_cache`` (a bitmap over 1..i)."""
-    i = on_cache.size
-    # own gather for S_i, as for the decode logits: slicing the exact row's product changes last bits
-    exact = _softmax(keys[:i] @ query)
-    off = float(exact[~on_cache].sum())
-    idx = np.flatnonzero(on_cache)
-    masked = _softmax(keys[idx] @ query)
-    # |masked - exact| over S, plus the exact mass that fell off-cache
-    tv = 0.5 * (float(np.abs(masked - exact[idx]).sum()) + off)
-    # 1 - off-mass rather than sum-of-on-mass (exact 1.0 for a full cache);
-    # off-cache mass can round above 1, so clamp into [0, 1] (off >= 0)
-    return max(1.0 - off, 0.0), tv
-
-
 def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
     """Replay the budget-constrained generative process over a trace.
 
     Each step computes the restricted attention over the cached set plus
-    the incoming token, folds it into the accumulated scores, lets the
-    policy resolve the eviction once the cache is at budget, then measures
-    the cached set against the step's exact attention. Deterministic:
-    equal (trace, policy) inputs give equal records.
+    the incoming token, folds it into the accumulated scores and lets the
+    policy resolve the eviction once the cache is at budget, recording when
+    each token leaves. Deterministic: equal (trace, policy) inputs give
+    equal records.
     """
     n, budget = trace.n, policy.budget
     if policy.kind == "full" and budget < n:
@@ -267,12 +258,14 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
     window = policy.recent_budget
     in_window = released = 0
     events: list[EvictionEvent] = []
-    retained, tv = np.empty(n), np.empty(n)
+    evicted_at = np.full(n, n + 1, dtype=np.int64)
 
     for i in range(1, n + 1):
         query = queries[i - 1]
         cached[i - 1] = True
-        attended = np.flatnonzero(cached[:i])
+        # while filling the cache holds exactly tokens 1..i, so a slice is the
+        # attended set (same products as the gather, without the copy)
+        attended = slice(0, i) if i <= budget else np.flatnonzero(cached[:i])
         weights = _softmax(keys[attended] @ query)
         scores[attended] += weights
         if not policy.init_score_from_self:
@@ -287,6 +280,7 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
             if victim is None:
                 raise InconsistentState(f"policy {policy.kind} returned no victim at budget")
             cached[victim - 1] = False
+            evicted_at[victim - 1] = i
             if victim != i:
                 slot = int(slot_of[victim - 1])
                 if victim > released:
@@ -301,10 +295,6 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
                 released += 1
                 while not cached[released - 1]:
                     released += 1
-        if i <= budget:  # the cache holds all of 1..i, where the products give exactly r = 1, TV = 0
-            retained[i - 1], tv[i - 1] = 1.0, 0.0
-        else:
-            retained[i - 1], tv[i - 1] = _deviation(keys, query, cached[:i])
 
     final = np.flatnonzero(cached) + 1
     return SimulationRecord(
@@ -313,6 +303,5 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
         events=events,
         final_tracked=frozenset(final.tolist()),
         final_scores=AccumulatedScores({int(t): float(scores[t - 1]) for t in final}, n),
-        retained=retained,
-        tv=tv,
+        evicted_at=evicted_at,
     )

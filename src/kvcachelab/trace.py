@@ -223,15 +223,24 @@ def save_trace(trace: AttentionTrace, path, fmt: str | None = None) -> None:
         raise InvalidSpec(f"unknown trace format {fmt!r}")
 
 
+def _json_block(doc: dict, name: str, path: str) -> np.ndarray:
+    rows = doc[name]
+    # a string row would otherwise be read character by character
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise MalformedTrace(f"{path}: {name} must be a list of rows, each a list of numbers")
+    return np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
+
+
 def _load_json_trace(raw: bytes, path: str) -> AttentionTrace:
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack
         raise MalformedTrace(f"{path}: neither KVT1 binary nor JSON ({exc})") from None
     try:
         n, d = int(doc["n"]), int(doc["d"])
-        q = np.array([[float(x) for x in row] for row in doc["Q"]], dtype=np.float64)
-        k = np.array([[float(x) for x in row] for row in doc["K"]], dtype=np.float64)
+        q = _json_block(doc, "Q", path)
+        k = _json_block(doc, "K", path)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedTrace(f"{path}: bad JSON trace ({exc})") from None
     for name, m in (("Q", q), ("K", k)):

@@ -4,8 +4,10 @@ This is the simulator and deviation metric as they stood before the
 one-pass array engine replaced them in ``kvcachelab.policies``: per-step
 ``StepAttention`` dicts, immutable score maps, a ``CacheState`` with its
 recent ring, and a second pass that replays the cached sets to measure
-retained mass and TV. The equivalence tests require the engine to match
-it bit for bit; nothing under ``src/`` imports it.
+retained mass and TV, plus the row-by-row sparsity loop. The equivalence
+tests require the engine's events and scores to match it bit for bit and
+the blocked metrics to match it within a tolerance fixed by the dtype;
+nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from kvcachelab.attention import StepAttention, exact_row, masked_step, softmax_over
 from kvcachelab.cache import CacheState, EvictionEvent
 from kvcachelab.errors import BudgetExceeded, InconsistentState, InvalidSpec
+from kvcachelab.metrics import row_sparsity
 from kvcachelab.policies import (
     AccumulatedScores,
     PolicyConfig,
@@ -182,3 +185,14 @@ def retained_mass(trace: AttentionTrace, record: ReferenceRecord) -> tuple[np.nd
         retained[i - 1] = r
         tv[i - 1] = tv_i
     return retained, tv
+
+
+def trace_sparsity(trace: AttentionTrace, threshold_frac: float) -> np.ndarray:
+    """Sparsity of each padded row of the exact attention map, one row at a time."""
+    n = trace.n
+    fracs = np.empty(n)
+    for i in range(1, n + 1):
+        row = np.zeros(n)
+        row[:i] = exact_row(trace, i)
+        fracs[i - 1] = row_sparsity(row, threshold_frac)
+    return fracs

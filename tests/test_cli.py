@@ -9,6 +9,7 @@ import pytest
 
 import kvcachelab as kl
 from kvcachelab.cli import main, resolve_budget
+from test_trace import MALFORMED_JSON
 
 
 def run(*argv) -> int:
@@ -113,6 +114,22 @@ def test_compare_ignores_kve_workers(tmp_path, monkeypatch):
     assert (tmp_path / "env" / "compare.csv").read_bytes() == (tmp_path / "plain" / "compare.csv").read_bytes()
 
 
+def test_compare_cells_equal_simulate_summaries(tmp_path):
+    # one exact pass shared by every cell gives each cell its single-run numbers
+    trace = _gen(tmp_path, n=40)
+    assert run("compare", "--trace", trace, "--policies", "h2o,local,h2_only",
+               "--out-dir", tmp_path / "cmp") == 0
+    rows = _read_csv(tmp_path / "cmp" / "compare.csv")
+    assert len(rows) == 15
+    for r in rows:
+        out = tmp_path / f"sim-{r['policy']}-{r['budget_spec']}"
+        assert run("simulate", "--trace", trace, "--policy", r["policy"],
+                   "--budget", r["budget_spec"], "--out-dir", out) == 0
+        summary = json.loads((out / "simulate.summary.json").read_text())
+        assert float(r["mean_retained_mass"]) == summary["mean_retained_mass"]
+        assert float(r["mean_tv"]) == summary["mean_tv"]
+
+
 def test_compare_needs_two_policies(tmp_path):
     trace = _gen(tmp_path, n=24)
     assert run("compare", "--trace", trace, "--policies", "h2o", "--out-dir", tmp_path) == 2
@@ -128,6 +145,20 @@ def test_sparsity_one_hot_trace(tmp_path):
     assert run("sparsity", "--trace", path, "--out-dir", out) == 0
     summary = json.loads((out / "sparsity.summary.json").read_text())
     assert summary["mean_sparsity"] == pytest.approx((n - 1) / n)
+
+
+@pytest.mark.parametrize("frac", ["0", "1", "1.5"])
+def test_sparsity_threshold_outside_unit_interval_is_config_error(tmp_path, frac):
+    trace = _gen(tmp_path, n=8)
+    assert run("sparsity", "--trace", trace, "--threshold-frac", frac,
+               "--out-dir", tmp_path / "sp") == 2
+
+
+@pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON.keys())
+def test_malformed_json_trace_is_io_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run("simulate", "--trace", path, "--out-dir", tmp_path / "o") == 3
 
 
 def test_profile_outputs_shares(tmp_path):

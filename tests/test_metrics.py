@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import kvcachelab as kl
+import reference_engine as ref
 from kvcachelab.cache import QuantizationSpec
-from kvcachelab.errors import DimensionMismatch, EmptyRow, TraceMismatch
+from kvcachelab.errors import DimensionMismatch, EmptyRow, InvalidSpec, TraceMismatch
 from kvcachelab.metrics import aggregate_sparsity, support_at, trace_sparsity
+from kvcachelab.trace import TRACE_KINDS
 
 
 def _one_hot_trace(n, gain=10.0):
@@ -41,6 +43,20 @@ def test_trace_sparsity_one_hot_rows():
     # every padded row has n-1 entries below threshold out of n
     np.testing.assert_allclose(report.per_row, (n - 1) / n, atol=1e-12)
     assert report.mean == pytest.approx((n - 1) / n)
+
+
+@pytest.mark.parametrize("kind", TRACE_KINDS)
+def test_trace_sparsity_matches_row_loop(kind):
+    # n = 257 spans three exact blocks, the last one partial
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=257, d=16, kind=kind, seed=4))
+    for frac in (0.01, 0.2):
+        assert np.array_equal(trace_sparsity(t, frac).per_row, ref.trace_sparsity(t, frac))
+
+
+@pytest.mark.parametrize("frac", [0.0, 1.0, 1.5])
+def test_trace_sparsity_rejects_threshold_outside_unit_interval(frac):
+    with pytest.raises(InvalidSpec):
+        trace_sparsity(_one_hot_trace(4), threshold_frac=frac)
 
 
 def test_aggregate_sparsity_groups():

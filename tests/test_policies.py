@@ -172,7 +172,8 @@ def test_full_run_matches_exact_attention():
     assert prev == rec.final_scores.scores
     for i, tracked in rec.step_sets():
         assert tracked == frozenset(range(1, i + 1))
-    assert (rec.retained == 1.0).all() and (rec.tv == 0.0).all()
+    rep = kl.retained_mass(t, rec)
+    assert (rep.retained == 1.0).all() and (rep.tv == 0.0).all()
 
 
 def test_oversized_budget_behaves_like_full():
@@ -287,6 +288,30 @@ def test_config_validation():
 
 # --- equivalence with the reference dict loop ---------------------------------------
 
+# The metrics sum GEMM blocks where the reference sums one gemv row at a
+# time, so they may differ from it in the last bits: a few ulps, bounded here
+# from the dtype alone.
+METRIC_ATOL = 64 * np.finfo(np.float64).eps
+
+
+def _assert_matches_reference(t, cfg):
+    if cfg.kind == "full" and cfg.budget < t.n:
+        for engine in (kl.run_policy, ref.run_policy):
+            with pytest.raises(BudgetExceeded):
+                engine(t, cfg)
+        return
+    got = kl.run_policy(t, cfg)
+    want = ref.run_policy(t, cfg, record_attention=False)
+    assert got.events == want.events
+    assert got.final_tracked == want.final_tracked
+    assert got.final_scores.scores == want.final_scores.scores
+    retained, tv = ref.retained_mass(t, want)
+    rep = kl.retained_mass(t, got)
+    # the metric clamps the retained mass into [0, 1]; TV is the reference's literal formula
+    np.testing.assert_allclose(rep.retained, np.clip(retained, 0.0, 1.0), rtol=0, atol=METRIC_ATOL)
+    np.testing.assert_allclose(rep.tv, tv, rtol=0, atol=METRIC_ATOL)
+
+
 @st.composite
 def _runs(draw):
     n = draw(st.integers(1, 80))
@@ -309,20 +334,14 @@ def _runs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_runs())
-def test_engine_matches_reference_bit_for_bit(run):
+def test_engine_matches_reference_within_tolerance(run):
     spec, cfg = run
-    t = kl.generate_trace(spec)
-    if cfg.kind == "full" and cfg.budget < t.n:
-        for engine in (kl.run_policy, ref.run_policy):
-            with pytest.raises(BudgetExceeded):
-                engine(t, cfg)
-        return
-    got = kl.run_policy(t, cfg)
-    want = ref.run_policy(t, cfg, record_attention=False)
-    retained, tv = ref.retained_mass(t, want)
-    assert got.events == want.events
-    assert got.final_tracked == want.final_tracked
-    assert got.final_scores.scores == want.final_scores.scores
-    # the engine clamps the retained mass into [0, 1]; otherwise nothing moves
-    assert np.array_equal(got.retained, np.maximum(retained, 0.0))
-    assert np.array_equal(got.tv, tv)
+    _assert_matches_reference(kl.generate_trace(spec), cfg)
+
+
+@pytest.mark.parametrize("kind", kl.POLICY_KINDS)
+def test_engine_matches_reference_across_exact_blocks(kind):
+    # n = 257 gives 127-row exact blocks: two full ones and a partial third
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=257, d=8, kind="power-law-keys", seed=11))
+    budget = t.n if kind == "full" else 51
+    _assert_matches_reference(t, kl.PolicyConfig(kind=kind, budget=budget, sink=3, stride=5))

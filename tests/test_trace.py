@@ -36,6 +36,20 @@ def test_json_row_count_mismatch(tmp_path):
         kl.load_trace(path)
 
 
+MALFORMED_JSON = {
+    "deep-nesting": "[" * 200000,  # deeper than the JSON parser's stack
+    "string-rows": '{"n": 2, "d": 1, "Q": "12", "K": "34"}',  # rows must be lists
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON.keys())
+def test_malformed_json_is_malformed_trace(tmp_path, text):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    with pytest.raises(MalformedTrace):
+        kl.load_trace(path)
+
+
 def test_nonfinite_entry_offset(tmp_path):
     t = kl.AttentionTrace(q=np.ones((2, 2)), k=np.ones((2, 2)))
     path = tmp_path / "t.kvt"
