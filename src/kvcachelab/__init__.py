@@ -5,16 +5,22 @@ The library simulates transformer decode steps over recorded or synthetic
 measures what each policy destroys relative to full attention, and ships an
 executable verification lab for the greedy/submodular guarantees and the
 softmax-regression numerics that motivate heavy-hitter caching.
+
+One decode path carries every result: :func:`run_policy` keeps the cache as
+per-token arrays and records its eviction schedule (one event per step, and
+the step at which each token left), and :mod:`kvcachelab.metrics` scores any
+number of schedules against the exact attention map, which
+:func:`exact_blocks` yields in causal row blocks.
 """
 
-from .attention import StepAttention, exact_row, exact_step, masked_step
-from .cache import CacheState, EvictionEvent, QuantizationSpec, events_to_jsonl, quantize_slots
+from .attention import exact_blocks
 from .errors import KVCacheLabError
 from .metrics import (
     DeviationReport,
     GoodDistributionCheck,
     HeavyHitterProfile,
     MemoryFootprint,
+    QuantizationSpec,
     SparsityReport,
     aggregate_sparsity,
     check_good_distribution,
@@ -26,12 +32,12 @@ from .metrics import (
 )
 from .policies import (
     POLICY_KINDS,
-    AccumulatedScores,
+    EvictionEvent,
     PolicyConfig,
     SimulationRecord,
     decide,
+    events_to_jsonl,
     run_policy,
-    score_function,
 )
 from .regression import (
     LossBreakdown,
@@ -59,6 +65,7 @@ from .submodular import (
     greedy,
     robust_greedy,
     robust_greedy_floor,
+    score_function,
 )
 from .trace import (
     AttentionTrace,

@@ -126,7 +126,6 @@ def _policy_from_args(kind: str, budget: int, args) -> PolicyConfig:
             recent_frac=args.recent_frac,
             sink=args.sink,
             stride=args.stride,
-            score_fn=args.score_fn,
         )
     except KVCacheLabError as exc:
         raise UsageError(str(exc)) from None
@@ -324,7 +323,6 @@ def cmd_regress(args) -> list[str]:
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--recent-frac", dest="recent_frac", type=float, default=0.5)
-    p.add_argument("--score-fn", dest="score_fn", default="identity", choices=["identity", "sqrt1p", "log1p"])
     p.add_argument("--sink", type=int, default=4)
     p.add_argument("--stride", type=int, default=8)
 

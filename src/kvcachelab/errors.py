@@ -34,34 +34,6 @@ class MalformedTrace(KVCacheLabError):
         self.byte_offset = byte_offset
 
 
-# --- attention engine ------------------------------------------------------
-
-class CurrentTokenEvicted(KVCacheLabError):
-    """The decoding token itself is missing from the attended set."""
-
-
-class EmptySet(KVCacheLabError):
-    """The attended set is empty."""
-
-
-# --- cache state machine ----------------------------------------------------
-
-class CacheFull(KVCacheLabError):
-    """admit() called at budget; use swap() instead."""
-
-
-class NotFull(KVCacheLabError):
-    """swap() called below budget; use admit() instead."""
-
-
-class DuplicateToken(KVCacheLabError):
-    """Token is already cached."""
-
-
-class EvictNotTracked(KVCacheLabError):
-    """The eviction victim is neither cached nor the incoming token."""
-
-
 # --- policies ---------------------------------------------------------------
 
 class BudgetExceeded(KVCacheLabError):

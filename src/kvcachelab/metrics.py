@@ -17,6 +17,9 @@ add ``off`` again, halved. Every quantity comes from one blocked pass over
 the exact attention map, which :func:`deviation_reports` shares between any
 number of runs over the same trace; :func:`trace_sparsity` reads the same
 blocks.
+
+:func:`memory_footprint` is arithmetic over the budget, in which a
+:class:`QuantizationSpec` prices each cached key entry at ``bits / 8`` bytes.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .attention import exact_blocks
-from .cache import QuantizationSpec
 from .errors import DimensionMismatch, EmptyRow, InconsistentState, InvalidSpec, TraceMismatch
-from .policies import AccumulatedScores, PolicyConfig, SimulationRecord
+from .policies import PolicyConfig, SimulationRecord
 from .trace import AttentionTrace
 
 
@@ -191,18 +193,17 @@ class HeavyHitterProfile:
 
 
 def heavy_hitter_profile(
-    scores: AccumulatedScores | Mapping[int, float],
+    scores: Mapping[int, float],
     total_steps: int,
     top_fracs: Sequence[float] = (0.05, 0.10, 0.20),
 ) -> HeavyHitterProfile:
     """Profile accumulated attention mass; intended for full-attention runs."""
-    mapping = scores.scores if isinstance(scores, AccumulatedScores) else dict(scores)
-    if not mapping:
+    if not scores:
         raise EmptyRow("no accumulated scores to profile")
-    tokens = np.array(sorted(mapping), dtype=np.int64)
+    tokens = np.array(sorted(scores), dtype=np.int64)
     if tokens[0] < 1 or tokens[-1] > total_steps:
         raise InvalidSpec("token indices must lie in [1, total_steps]")
-    raw = np.array([mapping[t] for t in tokens])
+    raw = np.array([scores[t] for t in tokens])
     # expected accumulated score under uniform attention: sum_{i=t}^{n} 1/i
     harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, total_steps + 1))))
     baseline = harmonic[total_steps] - harmonic[tokens - 1]
@@ -307,6 +308,30 @@ def check_good_distribution(
 
 
 # --- memory accounting ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class QuantizationSpec:
+    """Per-slot symmetric uniform quantizer: scale = max|entry| / (2^(b-1) - 1)."""
+
+    bits: int = 8
+
+    def __post_init__(self):
+        if self.bits not in (4, 8):
+            raise InvalidSpec(f"bits must be 4 or 8, got {self.bits}")
+
+    @property
+    def levels(self) -> int:
+        return 2 ** (self.bits - 1) - 1
+
+    def roundtrip(self, x: np.ndarray) -> np.ndarray:
+        """dequantize(quantize(x)); differs from x by at most scale/2 per entry."""
+        x = np.asarray(x, dtype=np.float64)
+        scale = float(np.abs(x).max()) / self.levels if x.size else 0.0
+        if scale == 0.0:
+            return x.copy()
+        q = np.clip(np.rint(x / scale), -self.levels, self.levels)
+        return q * scale
+
 
 @dataclass(frozen=True)
 class MemoryFootprint:

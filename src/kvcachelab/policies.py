@@ -15,11 +15,11 @@ Policies
     Heavy-hitter policy. Half roles: the most recently admitted tokens
     (``recent_frac`` of the budget) are shielded; among the remaining
     candidates plus the incoming token, it evicts the one whose removal
-    maximizes the score function over the survivors. Because the score
-    function is a non-decreasing transform of the summed accumulated
-    scores, that argmax is the candidate with the minimum accumulated
-    score; decide() uses the cheap form, and the test suite pins the
-    equivalence against the literal argmax-over-removals.
+    maximizes a score function h over the survivors. Because h is a
+    non-decreasing transform of the summed accumulated scores, that argmax
+    is the candidate with the minimum accumulated score whatever h is;
+    decide() uses the cheap form, and the test suite pins the equivalence
+    against the literal argmax-over-removals.
 ``h2_only``
     Minimum accumulated score with no recency shield.
 ``sink_local``
@@ -35,10 +35,12 @@ Policies
 
 :func:`run_policy` keeps the decode state in per-token numpy arrays: a
 cached-token bitmap whose ``flatnonzero`` is the sorted attended set, the
-accumulated scores and the cache slots. :func:`decide` is an argmin over
+accumulated scores and the cache slots. This eviction schedule is the
+library's only cache model. :func:`decide` is an argmin over
 arrays aligned with the attended set, ties going to the lowest token, so a
 simulation is a pure function of (trace, config). The loop makes decisions
-and does not measure: besides the events it records, per token, the step at
+and does not measure: besides one :class:`EvictionEvent` per step (written
+as JSON lines by :func:`events_to_jsonl`) it records, per token, the step at
 which the token left the cache (``evicted_at``). The exact rows that
 retained mass and TV compare against depend only on the trace, so
 :mod:`kvcachelab.metrics` computes them once, in blocks, for any number of
@@ -47,13 +49,12 @@ runs over the same trace.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+import json
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .cache import EvictionEvent
 from .errors import BudgetExceeded, InconsistentState, InvalidSpec
 from .trace import AttentionTrace
 
@@ -68,38 +69,30 @@ POLICY_KINDS = (
     "topk",
 )
 
-SCORE_FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "identity": lambda z: z,
-    "sqrt1p": lambda z: math.sqrt(z + 1.0),
-    "log1p": lambda z: math.log1p(z),
-}
-
-
-def score_function(kind: str) -> Callable[[float], float]:
-    """Non-decreasing concave transform applied to summed scores."""
-    try:
-        return SCORE_FUNCTIONS[kind]
-    except KeyError:
-        raise InvalidSpec(f"unknown score function {kind!r}") from None
-
 
 @dataclass(frozen=True)
-class AccumulatedScores:
-    """Running attention mass received per cached token.
+class EvictionEvent:
+    """One step's cache transition.
 
-    One length-<=k map, updated each step with the new normalized weights;
-    an evicted token's entry is dropped and can never return. Scores are
-    non-negative and non-decreasing while a token stays cached.
+    ``evicted`` is None while the cache is filling. ``evicted == admitted``
+    marks a refused incoming token (nothing was written; ``slot`` is None).
+    For every genuine transition ``slot`` is the position that was written.
     """
 
-    scores: dict[int, float] = field(default_factory=dict)
-    last_updated_step: int = 0
+    step: int
+    evicted: int | None
+    admitted: int
+    slot: int | None
 
-    def get(self, token: int, default: float = 0.0) -> float:
-        return self.scores.get(token, default)
+    def to_json(self) -> str:
+        return json.dumps(
+            {"i": self.step, "evicted": self.evicted, "admitted": self.admitted, "slot": self.slot}
+        )
 
-    def __contains__(self, token: int) -> bool:
-        return token in self.scores
+
+def events_to_jsonl(events) -> str:
+    """Serialize eviction events as JSON-lines for replay/debugging."""
+    return "\n".join(ev.to_json() for ev in events) + "\n"
 
 
 @dataclass(frozen=True)
@@ -117,7 +110,6 @@ class PolicyConfig:
     recent_frac: float = 0.5
     sink: int = 4
     stride: int = 8
-    score_fn: str = "identity"
     init_score_from_self: bool = True
 
     def __post_init__(self):
@@ -131,7 +123,6 @@ class PolicyConfig:
             raise InvalidSpec("sink must be >= 0")
         if self.stride < 1:
             raise InvalidSpec("stride must be >= 1")
-        score_function(self.score_fn)
 
     @property
     def recent_budget(self) -> int:
@@ -212,7 +203,7 @@ class SimulationRecord:
     n: int
     events: list[EvictionEvent]
     final_tracked: frozenset[int]
-    final_scores: AccumulatedScores
+    final_scores: dict[int, float]
     evicted_at: np.ndarray
 
     def step_sets(self) -> Iterator[tuple[int, frozenset[int]]]:
@@ -228,7 +219,8 @@ class SimulationRecord:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    # the arithmetic of attention.softmax_over, which the outputs are pinned to
+    # the arithmetic of the reference loop's softmax (tests/reference_engine.py),
+    # which the outputs are pinned to
     shift = float(logits.max())
     expo = np.exp(logits - shift)
     total = float(expo.sum())
@@ -302,6 +294,6 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
         n=n,
         events=events,
         final_tracked=frozenset(final.tolist()),
-        final_scores=AccumulatedScores({int(t): float(scores[t - 1]) for t in final}, n),
+        final_scores={int(t): float(scores[t - 1]) for t in final},
         evicted_at=evicted_at,
     )

@@ -28,9 +28,23 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import BadBudget, InvalidSpec, SequenceViolation, TooLarge
-from .policies import AccumulatedScores, score_function
 
 GREEDY_RATIO = 1.0 - 1.0 / math.e
+
+SCORE_FUNCTIONS: dict[str, Callable[[float], float]] = {
+    "identity": lambda z: z,
+    "sqrt1p": lambda z: math.sqrt(z + 1.0),
+    "log1p": lambda z: math.log1p(z),
+}
+
+
+def score_function(kind: str) -> Callable[[float], float]:
+    """Non-decreasing concave transform applied to summed scores."""
+    try:
+        return SCORE_FUNCTIONS[kind]
+    except KeyError:
+        raise InvalidSpec(f"unknown score function {kind!r}") from None
+
 
 _ENUM_CAP = 22  # brute force enumerates C(n, k) subsets; keep n at desk scale
 
@@ -460,7 +474,7 @@ def check_dynamic_conditions(
 
 
 def attention_score_instance(
-    scores: AccumulatedScores | Mapping[int, float], score_fn: str = "identity"
+    scores: Mapping[int, float], score_fn: str = "identity"
 ) -> tuple[SubmodularInstance, list[int]]:
     """Wrap accumulated scores as a selection objective.
 
@@ -470,8 +484,7 @@ def attention_score_instance(
     any argmax. With h = identity the objective is modular and greedy
     selection is exactly top-k by score.
     """
-    mapping = scores.scores if isinstance(scores, AccumulatedScores) else dict(scores)
-    tokens = sorted(mapping)
+    tokens = sorted(scores)
     h = score_function(score_fn)
-    weights = [mapping[t] for t in tokens]
+    weights = [scores[t] for t in tokens]
     return SubmodularInstance.concave_of_modular(weights, h), tokens

@@ -9,7 +9,8 @@ File format
 -----------
 Binary (default): magic bytes ``KVT1``, little-endian u32 ``n``, u32 ``d``,
 then ``n*d`` float64 Q entries row-major, then ``n*d`` float64 K entries
-row-major. JSON alternative: ``{"n": ..., "d": ..., "Q": [[...]], "K": [[...]]}``.
+row-major. JSON alternative: ``{"n": ..., "d": ..., "Q": [[...]], "K": [[...]]}``
+with integer ``n`` and ``d`` and JSON numbers (not strings or booleans) as entries.
 The loader auto-detects the format by the magic bytes. Both formats
 round-trip matrices bit-exactly (JSON uses ``repr`` floats, which Python
 guarantees to round-trip).
@@ -93,13 +94,6 @@ class AttentionTrace:
     @property
     def d(self) -> int:
         return self.q.shape[1]
-
-    def query_row(self, token: int) -> np.ndarray:
-        """Query vector of 1-based token index."""
-        return self.q[token - 1]
-
-    def key_row(self, token: int) -> np.ndarray:
-        return self.k[token - 1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttentionTrace):
@@ -223,12 +217,22 @@ def save_trace(trace: AttentionTrace, path, fmt: str | None = None) -> None:
         raise InvalidSpec(f"unknown trace format {fmt!r}")
 
 
+# JSON numbers parse to exactly these types; bool, a subclass of int, is excluded
+_JSON_NUMBERS = {int, float}
+
+
 def _json_block(doc: dict, name: str, path: str) -> np.ndarray:
     rows = doc[name]
-    # a string row would otherwise be read character by character
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+    # a string row would otherwise be read character by character, and a
+    # string or boolean entry converted to a float
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and set(map(type, row)) <= _JSON_NUMBERS for row in rows
+    ):
         raise MalformedTrace(f"{path}: {name} must be a list of rows, each a list of numbers")
-    return np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
+    try:
+        return np.array(rows, dtype=np.float64)
+    except OverflowError:  # an integer beyond float64's range
+        raise MalformedTrace(f"{path}: {name} has an entry beyond float64's range") from None
 
 
 def _load_json_trace(raw: bytes, path: str) -> AttentionTrace:
@@ -238,7 +242,9 @@ def _load_json_trace(raw: bytes, path: str) -> AttentionTrace:
         # RecursionError: nesting deeper than the parser's stack
         raise MalformedTrace(f"{path}: neither KVT1 binary nor JSON ({exc})") from None
     try:
-        n, d = int(doc["n"]), int(doc["d"])
+        n, d = doc["n"], doc["d"]
+        if type(n) is not int or type(d) is not int:
+            raise MalformedTrace(f"{path}: n and d must be JSON integers")
         q = _json_block(doc, "Q", path)
         k = _json_block(doc, "K", path)
     except (KeyError, TypeError, ValueError) as exc:

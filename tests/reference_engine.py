@@ -2,12 +2,16 @@
 
 This is the simulator and deviation metric as they stood before the
 one-pass array engine replaced them in ``kvcachelab.policies``: per-step
-``StepAttention`` dicts, immutable score maps, a ``CacheState`` with its
-recent ring, and a second pass that replays the cached sets to measure
-retained mass and TV, plus the row-by-row sparsity loop. The equivalence
-tests require the engine's events and scores to match it bit for bit and
-the blocked metrics to match it within a tolerance fixed by the dtype;
-nothing under ``src/`` imports it.
+attention dicts over the attended set, score maps, a cache of token slots
+with its recently admitted tokens, and a second pass that replays the
+cached sets to measure retained mass and TV, plus the row-by-row sparsity
+loop. It computes its own attention (:func:`softmax_over`) and keeps its own
+cache (:class:`RefCache`), and takes from ``kvcachelab`` only the trace,
+config and event types, the errors and the two pattern predicates, so a bug
+in library attention or metrics cannot reach both sides of an equivalence
+test. The tests require the engine's events and scores to match it bit for
+bit and the blocked metrics to match it within a tolerance fixed by the
+dtype; nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -17,12 +21,9 @@ from typing import Iterator
 
 import numpy as np
 
-from kvcachelab.attention import StepAttention, exact_row, masked_step, softmax_over
-from kvcachelab.cache import CacheState, EvictionEvent
 from kvcachelab.errors import BudgetExceeded, InconsistentState, InvalidSpec
-from kvcachelab.metrics import row_sparsity
 from kvcachelab.policies import (
-    AccumulatedScores,
+    EvictionEvent,
     PolicyConfig,
     fixed_pattern_member,
     strided_pattern_member,
@@ -30,43 +31,84 @@ from kvcachelab.policies import (
 from kvcachelab.trace import AttentionTrace
 
 
-class RefScores(AccumulatedScores):
-    """Score map with the pruning helpers the dict loop needs."""
-
-    @classmethod
-    def empty(cls) -> "RefScores":
-        return cls({}, 0)
-
-    def without(self, token: int) -> "RefScores":
-        pruned = {t: s for t, s in self.scores.items() if t != token}
-        return RefScores(pruned, self.last_updated_step)
-
-    def zeroed(self, token: int) -> "RefScores":
-        updated = dict(self.scores)
-        updated[token] = 0.0
-        return RefScores(updated, self.last_updated_step)
+def softmax_over(trace: AttentionTrace, i: int, tokens: np.ndarray) -> np.ndarray:
+    """Shifted softmax of ``Q_i . K_t`` over the 1-based ``tokens``."""
+    logits = trace.k[tokens - 1] @ trace.q[i - 1]
+    expo = np.exp(logits - float(logits.max()))
+    return expo / float(expo.sum())
 
 
-def update_scores(scores: AccumulatedScores, step_attention: StepAttention) -> RefScores:
+def masked_step(trace: AttentionTrace, i: int, attended) -> dict[int, float]:
+    """Attention weight of each token in ``attended`` at step ``i``."""
+    tokens = np.array(sorted(set(attended)), dtype=np.int64)
+    return {int(t): float(w) for t, w in zip(tokens, softmax_over(trace, i, tokens))}
+
+
+class RefCache:
+    """Budget-k cache: a token -> slot dict plus the recently admitted tokens.
+
+    ``admitted`` lists the cached tokens in admission order; the last
+    ``recent`` of them are h2o's recency window. A swap writes the incoming
+    token into its victim's slot; a victim equal to the incoming token is a
+    refusal that writes nothing.
+    """
+
+    def __init__(self, budget: int, recent: int):
+        self.budget = budget
+        self.recent = recent
+        self.slot_of: dict[int, int] = {}
+        self.admitted: list[int] = []
+
+    @property
+    def tracked(self) -> frozenset[int]:
+        return frozenset(self.slot_of)
+
+    @property
+    def at_budget(self) -> bool:
+        return len(self.slot_of) == self.budget
+
+    @property
+    def recent_tokens(self) -> list[int]:
+        return self.admitted[-self.recent:] if self.recent else []
+
+    def admit(self, i: int, token: int) -> EvictionEvent:
+        slot = len(self.slot_of)
+        self._write(slot, token)
+        return EvictionEvent(step=i, evicted=None, admitted=token, slot=slot)
+
+    def swap(self, i: int, victim: int, token: int) -> EvictionEvent:
+        if victim == token:
+            return EvictionEvent(step=i, evicted=victim, admitted=token, slot=None)
+        slot = self.slot_of.pop(victim)
+        self.admitted.remove(victim)
+        self._write(slot, token)
+        return EvictionEvent(step=i, evicted=victim, admitted=token, slot=slot)
+
+    def _write(self, slot: int, token: int) -> None:
+        self.slot_of[token] = slot
+        self.admitted.append(token)
+
+
+def update_scores(scores: dict[int, float], weights: dict[int, float]) -> dict[int, float]:
     """Add one step's weights; a first-seen token starts at its own weight."""
-    updated = dict(scores.scores)
-    for token, w in step_attention.weights.items():
+    updated = dict(scores)
+    for token, w in weights.items():
         updated[token] = updated.get(token, 0.0) + w
-    return RefScores(updated, step_attention.index)
+    return updated
 
 
-def _min_score_token(tokens, scores: AccumulatedScores) -> int:
+def _min_score_token(tokens, scores: dict[int, float]) -> int:
     missing = [t for t in tokens if t not in scores]
     if missing:
         raise InconsistentState(f"no accumulated score for candidates {sorted(missing)}")
-    return min(tokens, key=lambda t: (scores.get(t), t))
+    return min(tokens, key=lambda t: (scores[t], t))
 
 
 def decide(
     policy: PolicyConfig,
-    scores: AccumulatedScores,
-    cache: CacheState,
-    step_attention: StepAttention,
+    scores: dict[int, float],
+    cache: RefCache,
+    weights: dict[int, float],
     i: int,
 ) -> int | None:
     """Pick the eviction victim for step ``i`` on a cache at budget."""
@@ -88,7 +130,7 @@ def decide(
         off = [t for t in tracked if not fixed_pattern_member(t, i, policy.stride)]
         return min(off) if off else min(tracked)
     if kind == "topk":
-        return min(tracked, key=lambda t: (step_attention.weight(t), t))
+        return min(tracked, key=lambda t: (weights.get(t, 0.0), t))
     if kind == "h2_only":
         return _min_score_token(sorted(tracked) + [i], scores)
     if kind == "h2o":
@@ -100,14 +142,13 @@ def decide(
 
 @dataclass
 class ReferenceRecord:
-    """Events, final state and (optionally) every step's attention."""
+    """Events and final state of a reference run."""
 
     config: PolicyConfig
     n: int
     events: list[EvictionEvent]
     final_tracked: frozenset[int]
-    final_scores: RefScores
-    step_attentions: list[StepAttention] | None = None
+    final_scores: dict[int, float]
 
     def step_sets(self) -> Iterator[tuple[int, frozenset[int]]]:
         """Yield (i, S_i): the cached set after each step's transition."""
@@ -121,48 +162,37 @@ class ReferenceRecord:
             yield ev.step, frozenset(current)
 
 
-def run_policy(
-    trace: AttentionTrace,
-    policy: PolicyConfig,
-    record_attention: bool = True,
-) -> ReferenceRecord:
+def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> ReferenceRecord:
     """Replay the budget-constrained generative process over a trace."""
     n = trace.n
     if policy.kind == "full" and policy.budget < n:
         raise BudgetExceeded(
             f"full policy needs budget >= n ({policy.budget} < {n}); nothing may be evicted"
         )
-    state = CacheState(budget=policy.budget, dim=trace.d, recent_capacity=policy.recent_budget)
-    scores = RefScores.empty()
+    cache = RefCache(budget=policy.budget, recent=policy.recent_budget)
+    scores: dict[int, float] = {}
     events: list[EvictionEvent] = []
-    attentions: list[StepAttention] | None = [] if record_attention else None
 
     for i in range(1, n + 1):
-        attended = sorted(state.tracked)
-        attended.append(i)
-        sa = masked_step(trace, i, attended)
-        scores = update_scores(scores, sa)
+        weights = masked_step(trace, i, [*cache.tracked, i])
+        scores = update_scores(scores, weights)
         if not policy.init_score_from_self:
-            scores = scores.zeroed(i)
-        if state.at_budget:
-            victim = decide(policy, scores, state, sa, i)
+            scores[i] = 0.0
+        if cache.at_budget:
+            victim = decide(policy, scores, cache, weights, i)
             if victim is None:
                 raise InconsistentState(f"policy {policy.kind} returned no victim at budget")
-            event = state.swap(victim, i, key=trace.key_row(i))
-            scores = scores.without(victim)
+            events.append(cache.swap(i, victim, i))
+            del scores[victim]
         else:
-            event = state.admit(i, key=trace.key_row(i))
-        events.append(event)
-        if attentions is not None:
-            attentions.append(sa)
+            events.append(cache.admit(i, i))
 
     return ReferenceRecord(
         config=policy,
         n=n,
         events=events,
-        final_tracked=state.tracked,
+        final_tracked=cache.tracked,
         final_scores=scores,
-        step_attentions=attentions,
     )
 
 
@@ -172,14 +202,14 @@ def retained_mass(trace: AttentionTrace, record: ReferenceRecord) -> tuple[np.nd
     retained = np.empty(n)
     tv = np.empty(n)
     for i, tracked in record.step_sets():
-        exact = exact_row(trace, i)
+        exact = softmax_over(trace, i, np.arange(1, i + 1))
         idx = np.fromiter((t - 1 for t in sorted(tracked)), dtype=np.int64, count=len(tracked))
         on_cache = np.zeros(i, dtype=bool)
         on_cache[idx] = True
         # 1 - off-mass rather than sum-of-on-mass: exact 1.0 for a full cache
         off = float(exact[~on_cache].sum())
         r = 1.0 - off
-        masked, _ = softmax_over(trace, i, idx + 1)
+        masked = softmax_over(trace, i, idx + 1)
         # |masked - exact| over S, plus the exact mass that fell off-cache
         tv_i = 0.5 * (float(np.abs(masked - exact[idx]).sum()) + off)
         retained[i - 1] = r
@@ -193,6 +223,6 @@ def trace_sparsity(trace: AttentionTrace, threshold_frac: float) -> np.ndarray:
     fracs = np.empty(n)
     for i in range(1, n + 1):
         row = np.zeros(n)
-        row[:i] = exact_row(trace, i)
-        fracs[i - 1] = row_sparsity(row, threshold_frac)
+        row[:i] = softmax_over(trace, i, np.arange(1, i + 1))
+        fracs[i - 1] = float((row < threshold_frac * row.max()).mean())
     return fracs

@@ -1,4 +1,4 @@
-"""Exact/masked step attention: hand oracles and structural properties."""
+"""Exact attention blocks and the reference's restricted softmax: hand oracles and properties."""
 
 import math
 
@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import kvcachelab as kl
-from kvcachelab.errors import CurrentTokenEvicted, EmptySet
+import reference_engine as ref
+
+# The blocks come from one GEMM per block where the reference takes one gemv
+# per row, so they may differ from it in the last bits: a few ulps, bounded
+# here from the dtype alone.
+WEIGHT_ATOL = 64 * np.finfo(np.float64).eps
 
 
 def _trace(q_rows, k_rows):
@@ -18,85 +23,57 @@ def _random_traces(count, n, d, kind="uniform-gaussian"):
         yield kl.generate_trace(kl.SyntheticTraceSpec(n=n, d=d, kind=kind, seed=seed))
 
 
+def _exact(trace):
+    """Exact weights from the blocks: row i - 1 holds step i's weights over 1..n."""
+    w = np.zeros((trace.n, trace.n))
+    for lo, e in kl.exact_blocks(trace):
+        w[lo:lo + len(e), :e.shape[1]] = e / e.sum(axis=1, keepdims=True)
+    return w
+
+
+# --- exact_blocks ----------------------------------------------------------------
+
 def test_first_step_is_certain():
     t = _trace([[3.0, -1.0]], [[0.5, 2.0]])
-    sa = kl.exact_step(t, 1)
-    assert sa.weights == {1: 1.0}
+    assert _exact(t)[0, 0] == 1.0
 
 
 def test_zero_logits_give_uniform_weights():
     t = kl.AttentionTrace(q=np.zeros((5, 3)), k=np.ones((5, 3)))
+    w = _exact(t)
     for i in range(1, 6):
-        sa = kl.exact_step(t, i)
-        for j in range(1, i + 1):
-            assert sa.weights[j] == pytest.approx(1.0 / i, abs=1e-15)
+        np.testing.assert_allclose(w[i - 1, :i], 1.0 / i, rtol=0, atol=1e-15)
 
 
 def test_two_token_hand_softmax():
     # logits (0, ln 2): weights exp(0)=1 and exp(ln2)=2, normalized to (1/3, 2/3)
     t = _trace([[0.0], [1.0]], [[0.0], [math.log(2.0)]])
-    sa = kl.exact_step(t, 2)
-    assert sa.weights[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert sa.weights[2] == pytest.approx(2.0 / 3.0, abs=1e-12)
-
-
-def test_masked_full_set_matches_exact():
-    for t in _random_traces(20, 24, 6):
-        for i in (1, 7, 24):
-            exact = kl.exact_step(t, i)
-            masked = kl.masked_step(t, i, range(1, i + 1))
-            assert exact.weights.keys() == masked.weights.keys()
-            for j in exact.weights:
-                assert masked.weights[j] == pytest.approx(exact.weights[j], abs=1e-12)
-
-
-def test_masked_singleton():
-    t = kl.generate_trace(kl.SyntheticTraceSpec(n=9, d=4, seed=1))
-    sa = kl.masked_step(t, 5, [5])
-    assert sa.weights == {5: 1.0}
-
-
-def test_masked_hand_example():
-    t = kl.AttentionTrace(q=np.zeros((3, 2)), k=np.ones((3, 2)))
-    sa = kl.masked_step(t, 3, [1, 3])
-    assert sa.weights[1] == pytest.approx(0.5, abs=1e-12)
-    assert sa.weights[3] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_errors():
-    t = kl.generate_trace(kl.SyntheticTraceSpec(n=4, d=2, seed=0))
-    with pytest.raises(IndexError):
-        kl.exact_step(t, 0)
-    with pytest.raises(IndexError):
-        kl.exact_step(t, 5)
-    with pytest.raises(CurrentTokenEvicted):
-        kl.masked_step(t, 3, [1, 2])
-    with pytest.raises(EmptySet):
-        kl.masked_step(t, 3, [])
-    with pytest.raises(IndexError):
-        kl.masked_step(t, 3, [1, 3, 4])  # 4 is in the future
+    w = _exact(t)
+    assert w[1, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert w[1, 1] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_normalization_and_positivity():
     checked = 0
     for t in _random_traces(100, 16, 4):
+        w = _exact(t)
         for i in range(1, t.n + 1):
-            sa = kl.exact_step(t, i)
-            assert abs(sum(sa.weights.values()) - 1.0) <= 1e-9
-            assert all(w > 0.0 for w in sa.weights.values())
-            assert sa.tokens() == frozenset(range(1, i + 1))
+            assert abs(w[i - 1].sum() - 1.0) <= 1e-9
+            # positive exactly on the tokens 1..i that step i can see
+            assert np.array_equal(np.flatnonzero(w[i - 1] > 0.0), np.arange(i))
             checked += 1
     assert checked == 1600
 
 
 def test_overflow_scale_logits_stay_normalized():
-    # raw exp would overflow: logits near 1e3; the shifted softmax must not
+    # raw exp would overflow: logits near 1e3; the shifted blocks must not
     q = np.array([[1000.0], [1000.0]])
     k = np.array([[1.0], [0.999]])
-    t = kl.AttentionTrace(q=q, k=k)
-    sa = kl.exact_step(t, 2)
-    assert abs(sum(sa.weights.values()) - 1.0) <= 1e-9
-    assert math.isinf(sa.normalizer)  # diagnostics may saturate; ratios must not
+    w = _exact(kl.AttentionTrace(q=q, k=k))
+    assert np.isfinite(w).all()
+    assert abs(w[1].sum() - 1.0) <= 1e-9
+    # logits 1000 and 999: weights 1 / (1 + e^-1) and e^-1 / (1 + e^-1)
+    assert w[1, 0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-9)
 
 
 def test_shift_invariance():
@@ -107,10 +84,40 @@ def test_shift_invariance():
         qi = t.q[i - 1]
         # K' = K + c * q_i / ||q_i||^2 adds the constant c to every logit of row i
         shifted = kl.AttentionTrace(q=t.q, k=t.k + c * qi / float(qi @ qi))
-        a = kl.exact_step(t, i)
-        b = kl.exact_step(shifted, i)
-        for j in a.weights:
-            assert b.weights[j] == pytest.approx(a.weights[j], abs=1e-12)
+        np.testing.assert_allclose(_exact(shifted)[i - 1], _exact(t)[i - 1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [24, 257])
+def test_blocks_match_row_by_row_softmax(n):
+    # n = 257 gives 127-row blocks, so rows cross two block boundaries
+    for t in _random_traces(3, n, 8, kind="power-law-keys"):
+        w = _exact(t)
+        for i in range(1, n + 1):
+            row = ref.softmax_over(t, i, np.arange(1, i + 1))
+            np.testing.assert_allclose(w[i - 1, :i], row, rtol=0, atol=WEIGHT_ATOL)
+            assert (w[i - 1, i:] == 0.0).all()
+
+
+# --- the reference's restricted softmax (the engine is pinned to it bit for bit) ---
+
+def test_masked_full_set_matches_exact():
+    for t in _random_traces(20, 24, 6):
+        w = _exact(t)
+        for i in (1, 7, 24):
+            masked = ref.softmax_over(t, i, np.arange(1, i + 1))
+            np.testing.assert_allclose(masked, w[i - 1, :i], rtol=0, atol=1e-12)
+
+
+def test_masked_singleton():
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=9, d=4, seed=1))
+    assert ref.masked_step(t, 5, [5]) == {5: 1.0}
+
+
+def test_masked_hand_example():
+    t = kl.AttentionTrace(q=np.zeros((3, 2)), k=np.ones((3, 2)))
+    weights = ref.masked_step(t, 3, [1, 3])
+    assert weights[1] == pytest.approx(0.5, abs=1e-12)
+    assert weights[3] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_monotone_mass_under_smaller_sets():
@@ -119,7 +126,7 @@ def test_monotone_mass_under_smaller_sets():
         i = int(rng.integers(3, t.n + 1))
         big = list(range(1, i + 1))
         small = sorted(set(rng.choice(big[:-1], size=max(1, i // 2), replace=False).tolist()) | {i})
-        wa = kl.masked_step(t, i, small).weights
-        wb = kl.masked_step(t, i, big).weights
+        wa = ref.masked_step(t, i, small)
+        wb = ref.masked_step(t, i, big)
         for j in wa:
             assert wa[j] >= wb[j] - 1e-15

@@ -5,9 +5,8 @@ import pytest
 
 import kvcachelab as kl
 import reference_engine as ref
-from kvcachelab.cache import QuantizationSpec
 from kvcachelab.errors import DimensionMismatch, EmptyRow, InvalidSpec, TraceMismatch
-from kvcachelab.metrics import aggregate_sparsity, support_at, trace_sparsity
+from kvcachelab.metrics import QuantizationSpec, aggregate_sparsity, support_at, trace_sparsity
 from kvcachelab.trace import TRACE_KINDS
 
 
@@ -84,7 +83,8 @@ def test_singleton_cache_retained_mass_is_self_weight():
     rec = kl.run_policy(t, kl.PolicyConfig(kind="local", budget=1))
     rep = kl.retained_mass(t, rec)
     for i in range(1, 13):
-        assert rep.retained[i - 1] == pytest.approx(kl.exact_step(t, i).weights[i], abs=1e-12)
+        self_weight = ref.softmax_over(t, i, np.arange(1, i + 1))[-1]
+        assert rep.retained[i - 1] == pytest.approx(self_weight, abs=1e-12)
         assert 0.0 < rep.retained[i - 1] <= 1.0
         assert 0.0 <= rep.tv[i - 1] < 1.0
 

@@ -39,6 +39,14 @@ def test_json_row_count_mismatch(tmp_path):
 MALFORMED_JSON = {
     "deep-nesting": "[" * 200000,  # deeper than the JSON parser's stack
     "string-rows": '{"n": 2, "d": 1, "Q": "12", "K": "34"}',  # rows must be lists
+    # entries must be JSON numbers, and bool counts as none
+    "string-entry": '{"n": 1, "d": 2, "Q": [["1.5", 1.0]], "K": [[2.0, 0.0]]}',
+    "bool-entry": '{"n": 1, "d": 2, "Q": [[1.5, true]], "K": [[2.0, false]]}',
+    "huge-int-entry": '{"n": 1, "d": 1, "Q": [[' + "9" * 400 + ']], "K": [[0.0]]}',
+    # the header sizes must be JSON integers
+    "string-n": '{"n": "1", "d": 1, "Q": [[0.0]], "K": [[0.0]]}',
+    "bool-n": '{"n": true, "d": 1, "Q": [[0.0]], "K": [[0.0]]}',
+    "float-d": '{"n": 1, "d": 1.7, "Q": [[0.0]], "K": [[0.0]]}',
 }
 
 
