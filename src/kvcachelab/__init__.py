@@ -22,12 +22,10 @@ from .metrics import (
     MemoryFootprint,
     QuantizationSpec,
     SparsityReport,
-    aggregate_sparsity,
     check_good_distribution,
     heavy_hitter_profile,
     memory_footprint,
     retained_mass,
-    row_sparsity,
     trace_sparsity,
 )
 from .policies import (
@@ -70,7 +68,6 @@ from .submodular import (
 from .trace import (
     AttentionTrace,
     SyntheticTraceSpec,
-    dominant_key_trace,
     generate_trace,
     load_trace,
     save_trace,

@@ -54,7 +54,7 @@ from .submodular import (
     robust_greedy,
     robust_greedy_floor,
 )
-from .trace import SyntheticTraceSpec, generate_trace, load_trace, save_trace
+from .trace import TRACE_KINDS, SyntheticTraceSpec, generate_trace, load_trace, save_trace
 
 DEFAULT_BUDGET_GRID = ("4%", "10%", "20%", "60%", "100%")
 
@@ -143,8 +143,6 @@ def cmd_gen_trace(args) -> list[str]:
 
 
 def cmd_simulate(args) -> list[str]:
-    if not args.trace:
-        raise UsageError("--trace is required")
     trace = load_trace(args.trace)
     budget = resolve_budget(args.budget, trace.n)
     policy = _policy_from_args(args.policy, budget, args)
@@ -174,8 +172,6 @@ def cmd_simulate(args) -> list[str]:
 
 
 def cmd_compare(args) -> list[str]:
-    if not args.trace:
-        raise UsageError("--trace is required")
     trace = load_trace(args.trace)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if len(policies) < 2:
@@ -212,8 +208,6 @@ def cmd_compare(args) -> list[str]:
 
 
 def cmd_sparsity(args) -> list[str]:
-    if not args.trace:
-        raise UsageError("--trace is required")
     trace = load_trace(args.trace)
     try:
         report = trace_sparsity(trace, threshold_frac=args.threshold_frac)
@@ -228,8 +222,6 @@ def cmd_sparsity(args) -> list[str]:
 
 
 def cmd_profile(args) -> list[str]:
-    if not args.trace:
-        raise UsageError("--trace is required")
     trace = load_trace(args.trace)
     full = run_policy(trace, PolicyConfig(kind="full", budget=trace.n))
     profile = heavy_hitter_profile(full.final_scores, trace.n)
@@ -338,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-trace", help="write a synthetic trace file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--kind", default="uniform-gaussian",
-                   choices=["uniform-gaussian", "power-law-keys", "sink-dominant"])
+    p.add_argument("--kind", default="uniform-gaussian", choices=TRACE_KINDS)
     p.add_argument("--exponent", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -347,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_trace)
 
     p = sub.add_parser("simulate", help="run one eviction policy over a trace")
-    p.add_argument("--trace", required=False)
+    p.add_argument("--trace", required=True)
     p.add_argument("--policy", default="h2o", choices=list(POLICY_KINDS))
     p.add_argument("--budget", default="20%")
     _add_policy_flags(p)
@@ -355,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="sweep policies over a budget grid")
-    p.add_argument("--trace", required=False)
+    p.add_argument("--trace", required=True)
     p.add_argument("--policies", default="h2o,local")
     p.add_argument("--budgets", default=None, help="comma list, e.g. 4%%,20%%,64")
     _add_policy_flags(p)
@@ -363,13 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sparsity", help="per-row sparsity of exact attention")
-    p.add_argument("--trace", required=False)
+    p.add_argument("--trace", required=True)
     p.add_argument("--threshold-frac", dest="threshold_frac", type=float, default=0.01)
     p.add_argument("--out-dir", dest="out_dir", default="./out")
     p.set_defaults(func=cmd_sparsity)
 
     p = sub.add_parser("profile", help="heavy-hitter profile under full attention")
-    p.add_argument("--trace", required=False)
+    p.add_argument("--trace", required=True)
     p.add_argument("--out-dir", dest="out_dir", default="./out")
     p.set_defaults(func=cmd_profile)
 
@@ -423,16 +414,20 @@ def _dispatch(args, argv_command: str) -> int:
 def _rerun(args) -> int:
     try:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    except OSError:
-        raise
     except json.JSONDecodeError as exc:
         raise UsageError(f"manifest {args.manifest}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise UsageError(f"manifest {args.manifest}: top level must be a JSON object")
     command = manifest.get("command")
     config = manifest.get("config", {})
+    if not isinstance(command, str):
+        raise UsageError(f"manifest {args.manifest}: 'command' must be a string")
+    if not isinstance(config, dict):
+        raise UsageError(f"manifest {args.manifest}: 'config' must be a JSON object")
     parser = build_parser()
     argv = [command]
     for key, value in config.items():
-        if value is None or isinstance(value, bool):
+        if value is None:
             continue
         argv.append(f"--{key.replace('_', '-')}")
         argv.append(str(value))

@@ -24,8 +24,7 @@ blocks.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,22 +37,6 @@ from .trace import AttentionTrace
 
 # --- attention sparsity ----------------------------------------------------
 
-def _check_threshold(threshold_frac: float) -> None:
-    if not 0.0 < threshold_frac < 1.0:
-        raise InvalidSpec("threshold_frac must lie in (0, 1)")
-
-
-def row_sparsity(weights, threshold_frac: float) -> float:
-    """Fraction of entries below ``threshold_frac * max(weights)``."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size == 0:
-        raise EmptyRow("cannot measure sparsity of an empty row")
-    _check_threshold(threshold_frac)
-    if (w < 0).any():
-        raise InvalidSpec("weights must be non-negative")
-    return float((w < threshold_frac * w.max()).mean())
-
-
 @dataclass(frozen=True)
 class SparsityReport:
     """Per-row sparsity of a trace's exact attention matrix.
@@ -65,8 +48,6 @@ class SparsityReport:
 
     per_row: np.ndarray
     threshold_frac: float
-    head_id: int | None = None
-    layer_id: int | None = None
 
     @property
     def mean(self) -> float:
@@ -80,36 +61,14 @@ def trace_sparsity(trace: AttentionTrace, threshold_frac: float = 0.01) -> Spars
     are those below ``threshold_frac``; the future entries (exact zeros)
     and the padding columns beyond the block always are.
     """
-    _check_threshold(threshold_frac)
+    if not 0.0 < threshold_frac < 1.0:
+        raise InvalidSpec("threshold_frac must lie in (0, 1)")
     n = trace.n
     fracs = np.empty(n)
     for lo, e in exact_blocks(trace):
         hi = e.shape[1]
         fracs[lo:hi] = ((e < threshold_frac).sum(axis=1) + (n - hi)) / n
-    return SparsityReport(
-        per_row=fracs,
-        threshold_frac=threshold_frac,
-        head_id=trace.head_id,
-        layer_id=trace.layer_id,
-    )
-
-
-def aggregate_sparsity(reports: Iterable[SparsityReport]) -> dict[str, dict]:
-    """Mean sparsity grouped three ways: overall, per head, per layer."""
-    reports = list(reports)
-    if not reports:
-        return {"overall": {}, "by_head": {}, "by_layer": {}}
-    overall = float(np.mean([r.mean for r in reports]))
-    by_head: dict = {}
-    by_layer: dict = {}
-    for r in reports:
-        by_head.setdefault(r.head_id, []).append(r.mean)
-        by_layer.setdefault(r.layer_id, []).append(r.mean)
-    return {
-        "overall": {"mean": overall, "reports": len(reports)},
-        "by_head": {k: float(np.mean(v)) for k, v in by_head.items()},
-        "by_layer": {k: float(np.mean(v)) for k, v in by_layer.items()},
-    }
+    return SparsityReport(per_row=fracs, threshold_frac=threshold_frac)
 
 
 # --- deviation from full attention ---------------------------------------------

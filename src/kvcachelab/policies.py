@@ -12,14 +12,15 @@ Policies
 ``local``
     Keeps only the most recent tokens: always evicts the oldest cached one.
 ``h2o``
-    Heavy-hitter policy. Half roles: the most recently admitted tokens
-    (``recent_frac`` of the budget) are shielded; among the remaining
-    candidates plus the incoming token, it evicts the one whose removal
-    maximizes a score function h over the survivors. Because h is a
-    non-decreasing transform of the summed accumulated scores, that argmax
-    is the candidate with the minimum accumulated score whatever h is;
-    decide() uses the cheap form, and the test suite pins the equivalence
-    against the literal argmax-over-removals.
+    Heavy-hitter policy. The last ``recent_budget`` cached tokens are a
+    shielded recency window (tokens are admitted in order and h2o never
+    evicts a window member, so these are the most recently admitted ones);
+    among the cached tokens before the window plus the incoming token, it
+    evicts the one whose removal maximizes a score function h over the
+    survivors. Because h is a non-decreasing transform of the summed
+    accumulated scores, that argmax is the candidate with the minimum
+    accumulated score whatever h is; decide() uses the cheap form, and the
+    test suite pins the equivalence against the literal argmax-over-removals.
 ``h2_only``
     Minimum accumulated score with no recency shield.
 ``sink_local``
@@ -35,16 +36,16 @@ Policies
 
 :func:`run_policy` keeps the decode state in per-token numpy arrays: a
 cached-token bitmap whose ``flatnonzero`` is the sorted attended set, the
-accumulated scores and the cache slots. This eviction schedule is the
-library's only cache model. :func:`decide` is an argmin over
-arrays aligned with the attended set, ties going to the lowest token, so a
-simulation is a pure function of (trace, config). The loop makes decisions
-and does not measure: besides one :class:`EvictionEvent` per step (written
-as JSON lines by :func:`events_to_jsonl`) it records, per token, the step at
-which the token left the cache (``evicted_at``). The exact rows that
-retained mass and TV compare against depend only on the trace, so
-:mod:`kvcachelab.metrics` computes them once, in blocks, for any number of
-runs over the same trace.
+accumulated scores (each token starting at its own weight) and the cache
+slots. This eviction schedule is the library's only cache model.
+:func:`decide` is an argmin over arrays aligned with the attended set, ties
+going to the lowest token, so a simulation is a pure function of (trace,
+config). The loop makes decisions and does not measure: besides one
+:class:`EvictionEvent` per step (written as JSON lines by
+:func:`events_to_jsonl`) it records, per token, the step at which the token
+left the cache (``evicted_at``). The exact rows that retained mass and TV
+compare against depend only on the trace, so :mod:`kvcachelab.metrics`
+computes them once, in blocks, for any number of runs over the same trace.
 """
 
 from __future__ import annotations
@@ -99,10 +100,9 @@ def events_to_jsonl(events) -> str:
 class PolicyConfig:
     """Which policy to run and its knobs.
 
-    ``recent_frac`` splits the h2o budget: floor(recent_frac * budget)
-    slots act as the recency shield and the rest hold heavy hitters.
-    ``init_score_from_self`` controls the incoming token's starting score:
-    its own self-attention weight (default) or zero.
+    ``recent_frac`` splits the h2o budget: the last
+    floor(recent_frac * budget) cached tokens are the recency window and
+    the rest hold heavy hitters.
     """
 
     kind: str
@@ -110,7 +110,6 @@ class PolicyConfig:
     recent_frac: float = 0.5
     sink: int = 4
     stride: int = 8
-    init_score_from_self: bool = True
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -128,11 +127,6 @@ class PolicyConfig:
     def recent_budget(self) -> int:
         return int(self.recent_frac * self.budget)
 
-    @property
-    def heavy_budget(self) -> int:
-        # the two roles always partition the budget exactly
-        return self.budget - self.recent_budget
-
 
 def strided_pattern_member(token, step: int, stride: int):
     """Strided mask: a local window plus every stride-th earlier position."""
@@ -145,16 +139,17 @@ def fixed_pattern_member(token, step: int, stride: int):
     return ((token - 1) // stride == (step - 1) // stride) | (token % stride == 0)
 
 
-def decide(policy: PolicyConfig, tokens, weights, scores, shielded) -> int | None:
+def decide(policy: PolicyConfig, tokens, weights, scores) -> int | None:
     """Pick the eviction victim for a step on a cache at budget.
 
     ``tokens`` is the attended set in ascending order: the cached tokens,
     then the incoming token last. ``weights`` are the step's softmax
     weights over ``tokens``; ``scores`` their accumulated scores with this
     step's weights already added (so the incoming token carries its initial
-    score); ``shielded`` marks h2o's recency window. Returns the victim
-    (possibly the incoming token) or None for the full policy. Every argmin
-    takes the first minimum, which is the lowest token.
+    score). h2o's recency window is the last ``policy.recent_budget``
+    cached tokens. Returns the victim (possibly the incoming token) or None
+    for the full policy. Every argmin takes the first minimum, which is the
+    lowest token.
     """
     kind = policy.kind
     if kind == "full":
@@ -181,7 +176,8 @@ def decide(policy: PolicyConfig, tokens, weights, scores, shielded) -> int | Non
     if kind == "h2_only":
         return int(tokens[np.argmin(scores)])
     if kind == "h2o":
-        candidates = np.flatnonzero(~np.asarray(shielded))
+        # the cached tokens before the window, then the incoming token
+        candidates = np.r_[: cached.size - policy.recent_budget, cached.size]
         return int(tokens[candidates[np.argmin(scores[candidates])]])
     raise InvalidSpec(f"unknown policy {kind!r}")
 
@@ -245,10 +241,6 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
     cached = np.zeros(n, dtype=bool)  # the cache, plus the incoming token mid-step
     scores = np.zeros(n)
     slot_of = np.zeros(n, dtype=np.int64)
-    # h2o's recency window: the cached tokens after `released`, the last token
-    # it let go (tokens are admitted in order, so these are the latest admitted)
-    window = policy.recent_budget
-    in_window = released = 0
     events: list[EvictionEvent] = []
     evicted_at = np.full(n, n + 1, dtype=np.int64)
 
@@ -260,33 +252,20 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
         attended = slice(0, i) if i <= budget else np.flatnonzero(cached[:i])
         weights = _softmax(keys[attended] @ query)
         scores[attended] += weights
-        if not policy.init_score_from_self:
-            scores[i - 1] = 0.0
         victim = slot = None
         if i <= budget:  # filling: step i writes slot i - 1
             slot = i - 1
         else:
-            shielded = attended >= released  # 0-based: tokens after `released`
-            shielded[-1] = False  # the incoming token is not admitted yet
-            victim = decide(policy, attended + 1, weights, scores[attended], shielded)
+            victim = decide(policy, attended + 1, weights, scores[attended])
             if victim is None:
                 raise InconsistentState(f"policy {policy.kind} returned no victim at budget")
             cached[victim - 1] = False
             evicted_at[victim - 1] = i
             if victim != i:
                 slot = int(slot_of[victim - 1])
-                if victim > released:
-                    in_window -= 1
         events.append(EvictionEvent(step=i, evicted=victim, admitted=i, slot=slot))
         if slot is not None:
             slot_of[i - 1] = slot
-            in_window += 1
-            if in_window > window:
-                # release the oldest window member: the next cached token
-                in_window = window
-                released += 1
-                while not cached[released - 1]:
-                    released += 1
 
     final = np.flatnonzero(cached) + 1
     return SimulationRecord(

@@ -10,12 +10,11 @@ the objective is
 
 The exponential-mass penalty pushes alpha down, i.e. toward peaked
 predictions; its multiplier ``sparse_weight`` (lambda, default 1) exists so
-that pressure is testable. All derivative pieces are assembled term by term
-(fit, sparsity, ridge separately) so each can be finite-difference checked
-on its own, and every evaluation stabilizes the softmax by shifting logits
-with their maximum. The sparsity term itself is genuinely exponential in
-scale: it is computed through log-sum-exp and an overflow past float64
-range raises ``NonFinite`` instead of returning inf.
+that pressure is testable. The gradient and Hessian are assembled term by
+term (fit, sparsity, ridge), and every evaluation stabilizes the softmax by
+shifting logits with their maximum. The sparsity term itself is genuinely
+exponential in scale: it is computed through log-sum-exp and an overflow
+past float64 range raises ``NonFinite`` instead of returning inf.
 
 The Hessian is positive definite once the ridge weights clear the
 curvature the fit term can shed: with spectral bound ||A|| <= R,
@@ -34,7 +33,7 @@ fallback when the linear solve reports a singular system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,21 +198,6 @@ def hessian(problem: RegressionProblem, x: np.ndarray) -> np.ndarray:
     curvature = curvature + np.diag(problem.w**2)
     h = problem.a.T @ curvature @ problem.a
     return 0.5 * (h + h.T)
-
-
-def hessian_fit(problem: RegressionProblem, x: np.ndarray) -> np.ndarray:
-    f, _, _ = _softmax_parts(problem, x)
-    h = problem.a.T @ _fit_curvature(f, problem.b) @ problem.a
-    return 0.5 * (h + h.T)
-
-
-def hessian_sparse(problem: RegressionProblem, x: np.ndarray) -> np.ndarray:
-    f, log_alpha, _ = _softmax_parts(problem, x)
-    return problem.a.T @ np.diag(_exp_z(problem, log_alpha, f)) @ problem.a
-
-
-def hessian_ridge(problem: RegressionProblem) -> np.ndarray:
-    return problem.a.T @ np.diag(problem.w**2) @ problem.a
 
 
 @dataclass(frozen=True)

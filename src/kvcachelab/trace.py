@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,14 +58,11 @@ class AttentionTrace:
     """Per-head query/key matrices, shape (n, d) each.
 
     Invariants: Q and K share the same shape, n >= 1, d >= 1, all entries
-    finite. ``head_id``/``layer_id`` are optional bookkeeping for
-    aggregation across traces.
+    finite.
     """
 
     q: np.ndarray
     k: np.ndarray
-    head_id: int | None = None
-    layer_id: int | None = None
 
     def __post_init__(self):
         q = _as_matrix(self.q, "Q")
@@ -82,10 +79,6 @@ class AttentionTrace:
         k.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "k", k)
-        for name in ("head_id", "layer_id"):
-            v = getattr(self, name)
-            if v is not None and (not isinstance(v, int) or v < 0):
-                raise InvalidTrace(f"{name} must be a non-negative integer")
 
     @property
     def n(self) -> int:
@@ -98,15 +91,10 @@ class AttentionTrace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttentionTrace):
             return NotImplemented
-        return (
-            np.array_equal(self.q, other.q)
-            and np.array_equal(self.k, other.k)
-            and self.head_id == other.head_id
-            and self.layer_id == other.layer_id
-        )
+        return np.array_equal(self.q, other.q) and np.array_equal(self.k, other.k)
 
     def __hash__(self):
-        return hash((self.q.tobytes(), self.k.tobytes(), self.head_id, self.layer_id))
+        return hash((self.q.tobytes(), self.k.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -178,22 +166,6 @@ def generate_trace(spec: SyntheticTraceSpec) -> AttentionTrace:
         scales = 0.05 + 0.05 * rng.random(n)
         scales[0] = 1.0
         q, k = _scaled_key_trace(n, d, scales, rng)
-    return AttentionTrace(q=q, k=k)
-
-
-def dominant_key_trace(n: int, d: int, position: int, seed: int = 0) -> AttentionTrace:
-    """Trace whose single dominant key sits at a chosen 1-based position.
-
-    Counterpart of the ``sink-dominant`` kind for stress-testing policies
-    that pin the sequence start: all the attention mass belongs to one
-    mid-sequence token.
-    """
-    if not 1 <= position <= n:
-        raise InvalidSpec(f"position must be in [1, {n}], got {position}")
-    rng = np.random.default_rng(seed)
-    scales = 0.05 + 0.05 * rng.random(n)
-    scales[position - 1] = 1.0
-    q, k = _scaled_key_trace(n, d, scales, rng)
     return AttentionTrace(q=q, k=k)
 
 

@@ -6,12 +6,13 @@ attention dicts over the attended set, score maps, a cache of token slots
 with its recently admitted tokens, and a second pass that replays the
 cached sets to measure retained mass and TV, plus the row-by-row sparsity
 loop. It computes its own attention (:func:`softmax_over`) and keeps its own
-cache (:class:`RefCache`), and takes from ``kvcachelab`` only the trace,
-config and event types, the errors and the two pattern predicates, so a bug
-in library attention or metrics cannot reach both sides of an equivalence
-test. The tests require the engine's events and scores to match it bit for
-bit and the blocked metrics to match it within a tolerance fixed by the
-dtype; nothing under ``src/`` imports it.
+cache (:class:`RefCache`), whose admission-ordered list models h2o's recency
+window independently of the engine's slice of the cached tokens. It takes
+from ``kvcachelab`` only the trace, config and event types, the errors and
+the two pattern predicates, so a bug in library attention or metrics cannot
+reach both sides of an equivalence test. The tests require the engine's
+events and scores to match it bit for bit and the blocked metrics to match
+it within a tolerance fixed by the dtype; nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -176,8 +177,6 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> ReferenceRecord:
     for i in range(1, n + 1):
         weights = masked_step(trace, i, [*cache.tracked, i])
         scores = update_scores(scores, weights)
-        if not policy.init_score_from_self:
-            scores[i] = 0.0
         if cache.at_budget:
             victim = decide(policy, scores, cache, weights, i)
             if victim is None:

@@ -9,7 +9,7 @@ import pytest
 
 import kvcachelab as kl
 from kvcachelab.cli import main, resolve_budget
-from test_trace import MALFORMED_JSON
+from test_trace import MALFORMED_JSON, dominant_key_trace
 
 
 def run(*argv) -> int:
@@ -86,7 +86,7 @@ def test_compare_grid_and_full_row_equality(tmp_path):
 
 
 def test_compare_h2o_beats_sink_on_mid_sequence_heavy_trace(tmp_path):
-    t = kl.dominant_key_trace(96, 8, position=48, seed=0)
+    t = dominant_key_trace(96, 8, position=48, seed=0)
     path = tmp_path / "mid.kvt"
     kl.save_trace(t, path)
     out = tmp_path / "cmp2"
@@ -197,6 +197,18 @@ def test_rerun_reproduces_bytes(tmp_path):
     assert run("rerun", first / "simulate.manifest.json", "--out-dir", second) == 0
     assert (first / "simulate.steps.csv").read_bytes() == (second / "simulate.steps.csv").read_bytes()
     assert (first / "simulate.summary.json").read_bytes() == (second / "simulate.summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("manifest", [
+    "[1, 2]",
+    '"str"',
+    '{"command": 5}',
+    '{"command": "simulate", "config": []}',
+], ids=["list", "string", "int-command", "list-config"])
+def test_rerun_bad_manifest_is_config_error(tmp_path, manifest):
+    path = tmp_path / "bad.manifest.json"
+    path.write_text(manifest)
+    assert run("rerun", path, "--out-dir", tmp_path / "o") == 2
 
 
 def test_commands_do_not_mutate_inputs(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 
 import kvcachelab as kl
 import reference_engine as ref
-from kvcachelab.errors import DimensionMismatch, EmptyRow, InvalidSpec, TraceMismatch
-from kvcachelab.metrics import QuantizationSpec, aggregate_sparsity, support_at, trace_sparsity
+from kvcachelab.errors import DimensionMismatch, InvalidSpec, TraceMismatch
+from kvcachelab.metrics import QuantizationSpec, support_at, trace_sparsity
 from kvcachelab.trace import TRACE_KINDS
 
 
@@ -16,25 +16,7 @@ def _one_hot_trace(n, gain=10.0):
     return kl.AttentionTrace(q=eye, k=eye)
 
 
-# --- row sparsity -------------------------------------------------------------
-
-def test_row_sparsity_examples():
-    assert kl.row_sparsity([1.0, 0.005, 0.004], 0.01) == pytest.approx(2.0 / 3.0)
-    assert kl.row_sparsity(np.full(10, 0.1), 0.01) == 0.0
-    one_hot = np.zeros(100)
-    one_hot[3] = 1.0
-    assert kl.row_sparsity(one_hot, 0.01) == pytest.approx(0.99)
-    with pytest.raises(EmptyRow):
-        kl.row_sparsity([], 0.01)
-
-
-def test_row_sparsity_monotone_in_threshold():
-    rng = np.random.default_rng(0)
-    w = rng.random(50)
-    values = [kl.row_sparsity(w, f) for f in (0.01, 0.05, 0.2, 0.9)]
-    assert values == sorted(values)
-    assert all(0.0 <= v <= 1.0 for v in values)
-
+# --- trace sparsity ------------------------------------------------------------
 
 def test_trace_sparsity_one_hot_rows():
     n = 64
@@ -56,15 +38,6 @@ def test_trace_sparsity_matches_row_loop(kind):
 def test_trace_sparsity_rejects_threshold_outside_unit_interval(frac):
     with pytest.raises(InvalidSpec):
         trace_sparsity(_one_hot_trace(4), threshold_frac=frac)
-
-
-def test_aggregate_sparsity_groups():
-    t1 = kl.AttentionTrace(q=np.eye(4), k=np.eye(4), head_id=0, layer_id=0)
-    t2 = kl.AttentionTrace(q=np.eye(4), k=np.eye(4), head_id=1, layer_id=0)
-    agg = aggregate_sparsity([trace_sparsity(t1), trace_sparsity(t2)])
-    assert set(agg["by_head"]) == {0, 1}
-    assert set(agg["by_layer"]) == {0}
-    assert agg["overall"]["reports"] == 2
 
 
 # --- retained mass / TV ----------------------------------------------------------

@@ -16,12 +16,12 @@ from kvcachelab.submodular import score_function
 from kvcachelab.trace import TRACE_KINDS
 
 
-def _decide(cfg, cached, i, scores=None, weights=None, recent=()):
+def _decide(cfg, cached, i, scores=None, weights=None):
     """Array decide on cached tokens plus incoming ``i``, from per-token dicts."""
     tokens = sorted(cached) + [i]
     w = [(weights or {}).get(t, 0.0) for t in tokens]
     s = [(scores or {}).get(t, 0.0) for t in tokens]
-    return decide(cfg, tokens, w, s, [t in recent for t in tokens])
+    return decide(cfg, tokens, w, s)
 
 
 def reference_h2o_victim(candidates, all_members, scores, h):
@@ -57,7 +57,8 @@ def test_first_seen_tokens_initialize_at_their_weight():
 def test_h2o_evicts_lowest_scored_unshielded():
     cfg = kl.PolicyConfig(kind="h2o", budget=4, recent_frac=0.5)
     scores = {1: 0.9, 2: 0.1, 3: 0.5, 4: 0.6, 5: 0.3}
-    victim = _decide(cfg, [1, 2, 3, 4], 5, scores=scores, recent=(3, 4))
+    # the window is the last recent_budget = 2 cached tokens, {3, 4}
+    victim = _decide(cfg, [1, 2, 3, 4], 5, scores=scores)
     assert victim == 2
     ref_victim = reference_h2o_victim([1, 2, 5], [1, 2, 3, 4, 5], scores, score_function("identity"))
     assert victim == ref_victim
@@ -66,7 +67,7 @@ def test_h2o_evicts_lowest_scored_unshielded():
 def test_h2o_can_refuse_incoming():
     cfg = kl.PolicyConfig(kind="h2o", budget=4, recent_frac=0.5)
     scores = {1: 0.9, 2: 0.8, 3: 0.5, 4: 0.6, 5: 0.05}
-    assert _decide(cfg, [1, 2, 3, 4], 5, scores=scores, recent=(3, 4)) == 5
+    assert _decide(cfg, [1, 2, 3, 4], 5, scores=scores) == 5
 
 
 def test_local_evicts_oldest():
@@ -110,7 +111,7 @@ def test_full_policy_never_picks_victim():
 def test_h2o_missing_scores_is_inconsistent():
     cfg = kl.PolicyConfig(kind="h2o", budget=2, recent_frac=0.0)
     with pytest.raises(InconsistentState):
-        decide(cfg, [1, 2, 3], [0.0, 0.0, 0.0], [0.5], [False, False, False])
+        decide(cfg, [1, 2, 3], [0.0, 0.0, 0.0], [0.5])
 
 
 # --- shortcut equivalence and score-function invariance ---------------------------
@@ -119,13 +120,13 @@ def test_min_score_equals_literal_argmax_and_h_invariance():
     rng = np.random.default_rng(42)
     for _ in range(1000):
         k = int(rng.integers(2, 9))
-        recent_cap = int(rng.integers(0, k // 2 + 1))
+        cfg = kl.PolicyConfig(kind="h2o", budget=k, recent_frac=float(rng.uniform(0.0, 1.0)))
         tokens = list(range(1, k + 1))
-        recent = tuple(tokens[k - recent_cap:]) if recent_cap else ()
+        recent = tokens[k - cfg.recent_budget:]
         i = k + 1
         values = rng.uniform(0.001, 10.0, size=k + 1)
         scores = {t: float(values[t - 1]) for t in tokens + [i]}
-        victim = _decide(kl.PolicyConfig(kind="h2o", budget=k), tokens, i, scores=scores, recent=recent)
+        victim = _decide(cfg, tokens, i, scores=scores)
         candidates = [t for t in tokens if t not in recent] + [i]
         # the min-score victim is the literal argmax under every monotone h
         for fn in ("identity", "sqrt1p", "log1p"):
@@ -210,6 +211,22 @@ def test_h2o_never_evicts_recent_window():
             assert cache.swap(ev.step, ev.evicted, ev.admitted) == ev
 
 
+@pytest.mark.parametrize("kind", TRACE_KINDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_h2o_window_edges(kind, seed):
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=40, d=4, kind=kind, seed=seed))
+    k = 8
+    # no window: h2o is the plain min-score greedy
+    h2o = kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=k, recent_frac=0.0))
+    h2_only = kl.run_policy(t, kl.PolicyConfig(kind="h2_only", budget=k))
+    assert h2o.events == h2_only.events
+    assert h2o.final_scores == h2_only.final_scores
+    # the window is the whole cache: only the incoming token is a candidate
+    rec = kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=k, recent_frac=1.0))
+    assert all(ev.evicted == ev.admitted for ev in rec.events[k:])
+    assert rec.final_tracked == frozenset(range(1, k + 1))
+
+
 def test_determinism():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=40, d=4, kind="power-law-keys", seed=8))
     cfg = kl.PolicyConfig(kind="h2o", budget=10)
@@ -226,19 +243,6 @@ def test_scores_cover_exactly_tracked_tokens():
     for _, s in rec.step_sets():
         final_step_set = s
     assert set(rec.final_scores) == set(final_step_set)
-
-
-def test_zero_init_flag_changes_dynamics():
-    t = kl.generate_trace(kl.SyntheticTraceSpec(n=32, d=4, kind="power-law-keys", seed=1))
-    default = kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=8))
-    zeroed = kl.run_policy(
-        t,
-        kl.PolicyConfig(kind="h2o", budget=8, init_score_from_self=False),
-    )
-    # with zero initialization the incoming token always loses the argmax,
-    # so nothing after warmup is ever admitted
-    assert all(e.evicted == e.admitted for e in zeroed.events[8:])
-    assert default.events != zeroed.events
 
 
 def test_h2o_dominates_local_stepwise_on_power_law():
@@ -260,8 +264,7 @@ def test_config_validation():
         kl.PolicyConfig(kind="h2o", budget=0)
     with pytest.raises(InvalidSpec):
         kl.PolicyConfig(kind="h2o", budget=4, recent_frac=1.5)
-    cfg = kl.PolicyConfig(kind="h2o", budget=5, recent_frac=0.5)
-    assert cfg.recent_budget + cfg.heavy_budget == cfg.budget
+    assert kl.PolicyConfig(kind="h2o", budget=5, recent_frac=0.5).recent_budget == 2
 
 
 # --- equivalence with the reference dict loop ---------------------------------------
@@ -323,10 +326,9 @@ def _runs(draw):
     cfg = kl.PolicyConfig(
         kind=draw(st.sampled_from(kl.POLICY_KINDS)),
         budget=draw(st.integers(1, n + 2)),
-        recent_frac=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        recent_frac=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)),
         sink=draw(st.integers(0, 12)),
         stride=draw(st.integers(1, 12)),
-        init_score_from_self=draw(st.booleans()),
     )
     return spec, cfg
 

@@ -9,12 +9,12 @@ import kvcachelab as kl
 from kvcachelab.errors import InvalidSpec, MaxIterationsExceeded, NonFinite
 from kvcachelab.regression import (
     RegressionProblem,
+    _exp_z,
+    _fit_curvature,
+    _softmax_parts,
     check_hessian_lipschitz,
     gradient,
     hessian,
-    hessian_fit,
-    hessian_ridge,
-    hessian_sparse,
     loss,
     newton_solve,
     random_problem,
@@ -39,6 +39,24 @@ def naive_terms(problem, x):
     fit = 0.5 * np.sum((f - problem.b) ** 2)
     ridge = 0.5 * np.sum((np.diag(problem.w) @ problem.a @ x) ** 2)
     return fit, alpha, ridge
+
+
+# The Hessian's three terms built one at a time: the term-by-term reference
+# that `hessian`, which sums them in one curvature matrix, is checked against.
+
+def hessian_fit(problem, x):
+    f, _, _ = _softmax_parts(problem, x)
+    h = problem.a.T @ _fit_curvature(f, problem.b) @ problem.a
+    return 0.5 * (h + h.T)
+
+
+def hessian_sparse(problem, x):
+    f, log_alpha, _ = _softmax_parts(problem, x)
+    return problem.a.T @ np.diag(_exp_z(problem, log_alpha, f)) @ problem.a
+
+
+def hessian_ridge(problem):
+    return problem.a.T @ np.diag(problem.w**2) @ problem.a
 
 
 # --- loss ------------------------------------------------------------------------

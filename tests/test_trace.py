@@ -7,6 +7,23 @@ from hypothesis import strategies as st
 
 import kvcachelab as kl
 from kvcachelab.errors import InvalidSpec, InvalidTrace, MalformedTrace
+from kvcachelab.trace import _scaled_key_trace
+
+
+def dominant_key_trace(n: int, d: int, position: int, seed: int = 0) -> kl.AttentionTrace:
+    """Trace whose single dominant key sits at a chosen 1-based position.
+
+    Counterpart of the ``sink-dominant`` kind for stress-testing policies
+    that pin the sequence start: all the attention mass belongs to one
+    mid-sequence token.
+    """
+    if not 1 <= position <= n:
+        raise InvalidSpec(f"position must be in [1, {n}], got {position}")
+    rng = np.random.default_rng(seed)
+    scales = 0.05 + 0.05 * rng.random(n)
+    scales[position - 1] = 1.0
+    q, k = _scaled_key_trace(n, d, scales, rng)
+    return kl.AttentionTrace(q=q, k=k)
 
 
 def test_minimal_binary_file_loads(tmp_path):
@@ -56,6 +73,34 @@ def test_malformed_json_is_malformed_trace(tmp_path, text):
     path.write_text(text)
     with pytest.raises(MalformedTrace):
         kl.load_trace(path)
+
+
+def test_every_truncation_of_a_binary_file_is_malformed(tmp_path):
+    path = tmp_path / "t.kvt"
+    kl.save_trace(kl.generate_trace(kl.SyntheticTraceSpec(n=3, d=2, seed=1)), path)
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(MalformedTrace):
+            kl.load_trace(path)
+
+
+def test_huge_header_is_malformed(tmp_path):
+    path = tmp_path / "t.kvt"
+    path.write_bytes(b"KVT1" + (2**32 - 1).to_bytes(4, "little") * 2 + bytes(16))
+    with pytest.raises(MalformedTrace):
+        kl.load_trace(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary(max_size=64) | st.binary(max_size=64).map(lambda b: b"KVT1" + b))
+def test_random_bytes_raise_only_malformed_trace(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "t.bin"
+    path.write_bytes(raw)
+    try:
+        kl.load_trace(path)
+    except MalformedTrace:
+        pass
 
 
 def test_nonfinite_entry_offset(tmp_path):
@@ -151,11 +196,11 @@ def test_sink_dominant_first_token_largest():
 
 
 def test_dominant_key_trace_places_spike():
-    t = kl.dominant_key_trace(50, 8, position=25, seed=2)
+    t = dominant_key_trace(50, 8, position=25, seed=2)
     norms = np.linalg.norm(t.k, axis=1)
     assert norms.argmax() == 24
     with pytest.raises(InvalidSpec):
-        kl.dominant_key_trace(50, 8, position=0)
+        dominant_key_trace(50, 8, position=0)
 
 
 def test_unknown_kind_rejected():
