@@ -3,8 +3,9 @@
 The library simulates transformer decode steps over recorded or synthetic
 (Q, K) traces while a fixed-size cache evicts at most one token per step,
 measures what each policy destroys relative to full attention, and ships an
-executable verification lab for the greedy/submodular guarantees and the
-softmax-regression numerics that motivate heavy-hitter caching.
+executable verification lab for greedy's guarantees on static submodular
+objectives and the softmax-regression numerics that motivate heavy-hitter
+caching.
 
 One decode path carries every result: :func:`run_policy` keeps the cache as
 per-token arrays and records its eviction schedule (one event per step, and
@@ -50,16 +51,11 @@ from .regression import (
 )
 from .submodular import (
     GREEDY_RATIO,
-    DynamicConditionReport,
-    DynamicFamily,
     NoisyOracle,
     Selection,
     SubmodularInstance,
     attention_score_instance,
     brute_force_opt,
-    check_dynamic_conditions,
-    dynamic_opt,
-    expand_sequence,
     greedy,
     robust_greedy,
     robust_greedy_floor,

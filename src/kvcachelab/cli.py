@@ -13,8 +13,9 @@ One executable, one subcommand per workflow:
 
 Every run writes a manifest JSON next to its outputs recording the fully
 resolved configuration; ``rerun`` replays a manifest and must reproduce the
-CSV outputs byte for byte. Exit codes: 0 success, 2 configuration error,
-3 I/O error, 4 internal failure.
+CSV outputs byte for byte. Exit codes: 0 success, 2 configuration error
+(a bad flag or manifest, or a spec the library rejects with ``InvalidSpec``
+or ``BudgetExceeded``), 3 I/O error, 4 internal failure.
 
 Budgets accept an absolute count (``--budget 64``) or a fraction of the
 trace length (``--budget 20%``, floor-rounded, minimum 2). ``compare``
@@ -35,7 +36,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InvalidSpec, KVCacheLabError, MalformedTrace, MaxIterationsExceeded
+from .errors import (
+    BudgetExceeded,
+    InvalidSpec,
+    KVCacheLabError,
+    MalformedTrace,
+    MaxIterationsExceeded,
+)
 from .metrics import (
     deviation_reports,
     heavy_hitter_profile,
@@ -119,16 +126,9 @@ def _ensure_out_dir(args) -> Path:
 
 
 def _policy_from_args(kind: str, budget: int, args) -> PolicyConfig:
-    try:
-        return PolicyConfig(
-            kind=kind,
-            budget=budget,
-            recent_frac=args.recent_frac,
-            sink=args.sink,
-            stride=args.stride,
-        )
-    except KVCacheLabError as exc:
-        raise UsageError(str(exc)) from None
+    return PolicyConfig(
+        kind=kind, budget=budget, recent_frac=args.recent_frac, sink=args.sink, stride=args.stride
+    )
 
 
 # --- subcommands ------------------------------------------------------------
@@ -209,10 +209,7 @@ def cmd_compare(args) -> list[str]:
 
 def cmd_sparsity(args) -> list[str]:
     trace = load_trace(args.trace)
-    try:
-        report = trace_sparsity(trace, threshold_frac=args.threshold_frac)
-    except InvalidSpec as exc:
-        raise UsageError(f"--threshold-frac: {exc}") from None
+    report = trace_sparsity(trace, threshold_frac=args.threshold_frac)
     out = _ensure_out_dir(args)
     path = out / "sparsity.csv"
     write_csv(path, ["row", "sparsity"], [[i + 1, s] for i, s in enumerate(report.per_row)])
@@ -424,6 +421,8 @@ def _rerun(args) -> int:
         raise UsageError(f"manifest {args.manifest}: 'command' must be a string")
     if not isinstance(config, dict):
         raise UsageError(f"manifest {args.manifest}: 'config' must be a JSON object")
+    if command == "rerun":  # a replay always records the command it replayed
+        raise UsageError(f"manifest {args.manifest}: 'command' cannot be 'rerun'")
     parser = build_parser()
     argv = [command]
     for key, value in config.items():
@@ -433,7 +432,10 @@ def _rerun(args) -> int:
         argv.append(str(value))
     if args.out_dir:
         argv.extend(["--out-dir", args.out_dir])
-    replay = parser.parse_args(argv)
+    try:
+        replay = parser.parse_args(argv)
+    except SystemExit:  # argparse has already printed why
+        raise UsageError(f"manifest {args.manifest}: not a valid {command!r} command line") from None
     return _dispatch(replay, command)
 
 
@@ -447,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "rerun":
             return _rerun(args)
         return _dispatch(args, args.command)
-    except UsageError as exc:
+    except (UsageError, InvalidSpec, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, MalformedTrace) as exc:

@@ -68,10 +68,6 @@ class TooLarge(KVCacheLabError):
     """Instance too large for exhaustive enumeration."""
 
 
-class SequenceViolation(KVCacheLabError):
-    """A dynamic set sequence changes by more than one element per step."""
-
-
 # --- regression -----------------------------------------------------------------
 
 class NonFinite(KVCacheLabError):

@@ -62,8 +62,8 @@ class RegressionProblem:
         a = np.asarray(self.a, dtype=np.float64)
         b = np.asarray(self.b, dtype=np.float64)
         w = np.asarray(self.w, dtype=np.float64)
-        if a.ndim != 2:
-            raise InvalidSpec("A must be a 2-D matrix")
+        if a.ndim != 2 or a.size == 0:
+            raise InvalidSpec("A must be a 2-D matrix with at least one row and one column")
         n, d = a.shape
         if b.shape != (n,) or w.shape != (n,):
             raise InvalidSpec("b and w must be length-n vectors")
@@ -314,8 +314,8 @@ def random_problem(
     sparse_weight: float = 1.0,
 ) -> RegressionProblem:
     """Random instance in the requested PD regime (n >= d keeps A full rank)."""
-    if n < d:
-        raise InvalidSpec("need n >= d so that sigma_min(A) > 0")
+    if not 1 <= d <= n:
+        raise InvalidSpec("need n >= d >= 1 so that sigma_min(A) > 0")
     if regime not in ("strong", "weak"):
         raise InvalidSpec("regime must be 'strong' or 'weak'")
     rng = np.random.default_rng(seed)

@@ -1,19 +1,17 @@
-"""Executable checks for greedy selection over (dynamic) submodular objectives.
+"""Executable checks for greedy selection over submodular objectives.
 
-Three layers:
+Two layers:
 
 * static instances (modular, budget-additive, coverage, concave-of-modular)
   with an exhaustive diminishing-returns certifier and a brute-force
   optimum, against which greedy's (1 - 1/e) guarantee and the noisy-oracle
   variant's degraded bound are verified;
 * a noisy marginal-gain oracle with a bounded additive error, driving the
-  robust greedy selection;
-* a step-indexed family of set functions over a growing ground set, with a
-  condition checker that replays the induction argument behind running
-  greedy under drift: if per-step monotonicity, bounded per-step value
-  drift (theta), bounded optimum drift (gamma) and bounded approximation
-  error (eps0) all hold, the selected sets keep value at least
-  (1 - 1/e) * (1-theta)^i * (1-gamma)^i * opt_i - i*eps0.
+  robust greedy selection.
+
+:func:`attention_score_instance` wraps a step's accumulated attention
+scores as such an instance, which ties the lab to the decode engine's
+eviction choice.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BadBudget, InvalidSpec, SequenceViolation, TooLarge
+from .errors import BadBudget, InvalidSpec, TooLarge
 
 GREEDY_RATIO = 1.0 - 1.0 / math.e
 
@@ -114,17 +112,20 @@ class SubmodularInstance:
 
     # -- certification ---------------------------------------------------------
 
-    def certify_submodular(self, cap: int = 8) -> bool:
-        """Exhaustive diminishing-returns check; refuses ground sets > cap."""
+    def _all_subsets(self, cap: int) -> list[frozenset]:
         if self.n > cap:
             raise TooLarge(f"exhaustive certification capped at n={cap}")
         universe = range(1, self.n + 1)
-        subsets = [frozenset(c) for r in range(self.n + 1) for c in combinations(universe, r)]
+        return [frozenset(c) for r in range(self.n + 1) for c in combinations(universe, r)]
+
+    def certify_submodular(self, cap: int = 8) -> bool:
+        """Exhaustive diminishing-returns check; refuses ground sets > cap."""
+        subsets = self._all_subsets(cap)
         for big in subsets:
             for small in subsets:
                 if not small <= big:
                     continue
-                for x in universe:
+                for x in range(1, self.n + 1):
                     if x in big:
                         continue
                     lhs = self.value(small | {x}) - self.value(small)
@@ -134,13 +135,9 @@ class SubmodularInstance:
         return True
 
     def certify_monotone(self, cap: int = 8) -> bool:
-        if self.n > cap:
-            raise TooLarge(f"exhaustive certification capped at n={cap}")
-        universe = range(1, self.n + 1)
-        subsets = [frozenset(c) for r in range(self.n + 1) for c in combinations(universe, r)]
-        for s in subsets:
+        for s in self._all_subsets(cap):
             base = self.value(s)
-            for x in universe:
+            for x in range(1, self.n + 1):
                 if x not in s and self.value(s | {x}) < base - 1e-12:
                     return False
         return True
@@ -155,8 +152,10 @@ class Selection:
     order: tuple[int, ...] = ()
 
 
-def greedy(instance: SubmodularInstance, k: int) -> Selection:
-    """Pick k elements by maximal value gain, lowest index on ties."""
+def _greedy(
+    instance: SubmodularInstance, k: int, score: Callable[[frozenset, int], float]
+) -> Selection:
+    """Pick k elements, each maximising score(chosen, j); lowest index on ties."""
     if not 1 <= k <= instance.n:
         raise BadBudget(f"budget must be in [1, {instance.n}], got {k}")
     chosen: frozenset[int] = frozenset()
@@ -166,12 +165,17 @@ def greedy(instance: SubmodularInstance, k: int) -> Selection:
         for j in range(1, instance.n + 1):
             if j in chosen:
                 continue
-            v = instance.value(chosen | {j})
+            v = score(chosen, j)
             if v > best_val:
                 best_elem, best_val = j, v
         chosen = chosen | {best_elem}
         order.append(best_elem)
     return Selection(selected=chosen, value=instance.value(chosen), order=tuple(order))
+
+
+def greedy(instance: SubmodularInstance, k: int) -> Selection:
+    """Pick k elements by maximal value gain, lowest index on ties."""
+    return _greedy(instance, k, lambda chosen, j: instance.value(chosen | {j}))
 
 
 def brute_force_opt(instance: SubmodularInstance, k: int) -> Selection:
@@ -220,257 +224,12 @@ class NoisyOracle:
 
 def robust_greedy(oracle: NoisyOracle, k: int) -> Selection:
     """Greedy on noisy marginal gains; value reported under the true f."""
-    instance = oracle.instance
-    if not 1 <= k <= instance.n:
-        raise BadBudget(f"budget must be in [1, {instance.n}], got {k}")
-    chosen: frozenset[int] = frozenset()
-    order: list[int] = []
-    for _ in range(k):
-        best_elem, best_val = None, -math.inf
-        for j in range(1, instance.n + 1):
-            if j in chosen:
-                continue
-            v = oracle.query(chosen, j)
-            if v > best_val:
-                best_elem, best_val = j, v
-        chosen = chosen | {best_elem}
-        order.append(best_elem)
-    return Selection(selected=chosen, value=instance.value(chosen), order=tuple(order))
+    return _greedy(oracle.instance, k, oracle.query)
 
 
 def robust_greedy_floor(opt_value: float, k: int, eps: float) -> float:
     """Guaranteed value under eps-noisy gains: (1-1/e)*opt - k(2-1/e)*eps."""
     return GREEDY_RATIO * opt_value - k * (2.0 - 1.0 / math.e) * eps
-
-
-# --- dynamic families -----------------------------------------------------------
-
-class DynamicFamily:
-    """Step-indexed set functions F(Z, i, T) over a growing ground set.
-
-    At step i the conditioning set Z is the current selection (a subset of
-    {1..i-1}) and T ranges over subsets of {1..i}. ``approx`` is an optional
-    inexact evaluator standing in for a score oracle with bounded error.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        exact: Callable[[frozenset, int, frozenset], float],
-        approx: Callable[[frozenset, int, frozenset], float] | None = None,
-    ):
-        self.n = n
-        self._exact = exact
-        self._approx = approx
-
-    def exact(self, conditioning: frozenset, i: int, subset: frozenset) -> float:
-        return float(self._exact(conditioning, i, subset))
-
-    def approx(self, conditioning: frozenset, i: int, subset: frozenset) -> float:
-        if self._approx is None:
-            return self.exact(conditioning, i, subset)
-        return float(self._approx(conditioning, i, subset))
-
-
-def expand_sequence(family: DynamicFamily, k: int, use_approx: bool = False) -> list[frozenset]:
-    """Run the one-in/one-out greedy construction over all n steps.
-
-    Returns [S_1, ..., S_n] with S_i a subset of {1..i-1}: below budget the
-    incoming token joins outright; at budget the kept set maximizes the
-    (approximate) step function over single-removal candidates, which may
-    refuse the incoming token itself.
-    """
-    evaluate = family.approx if use_approx else family.exact
-    sets: list[frozenset] = []
-    current: frozenset = frozenset()
-    for i in range(1, family.n + 1):
-        sets.append(current)
-        grown = current | {i}
-        if len(current) < k:
-            current = grown
-            continue
-        best_keep, best_val = None, -math.inf
-        for victim in sorted(grown):
-            keep = grown - {victim}
-            v = evaluate(current, i, keep)
-            if v > best_val:
-                best_keep, best_val = keep, v
-        current = best_keep
-    return sets
-
-
-def dynamic_opt(family: DynamicFamily, i: int, k: int) -> float:
-    """Best f_{X,i}(Y) over X within {1..i-1}, Y within {1..i}, |Y \\ X| <= 1.
-
-    Exhaustive by design; sizes are capped by the budget so desk-scale
-    families stay enumerable.
-    """
-    best = -math.inf
-    prior = list(range(1, i))
-    for r in range(min(k, len(prior)) + 1):
-        for xs in combinations(prior, r):
-            x = frozenset(xs)
-            newcomers = [None] + [e for e in range(1, i + 1) if e not in x]
-            for extra in newcomers:
-                for q in range(len(x) + 1):
-                    for kept in combinations(sorted(x), q):
-                        y = frozenset(kept) | ({extra} if extra is not None else frozenset())
-                        if len(y) > k:
-                            continue
-                        v = family.exact(x, i, y)
-                        if v > best:
-                            best = v
-    return best
-
-
-@dataclass(frozen=True)
-class StepConditions:
-    """Condition verdicts and the value-trajectory check at one step."""
-
-    index: int
-    set_ok: bool
-    budget_ok: bool
-    delta_ok: bool
-    monotone_ok: bool
-    dynamic1_ok: bool
-    dynamic2_ok: bool
-    approx_ok: bool
-    value: float
-    bound: float
-    value_ok: bool
-
-    @property
-    def conditions_ok(self) -> bool:
-        return (
-            self.set_ok
-            and self.budget_ok
-            and self.delta_ok
-            and self.monotone_ok
-            and self.dynamic1_ok
-            and self.dynamic2_ok
-            and self.approx_ok
-        )
-
-
-@dataclass(frozen=True)
-class DynamicConditionReport:
-    steps: tuple[StepConditions, ...]
-    theta: float
-    gamma: float
-    eps0: float
-
-    @property
-    def all_conditions_ok(self) -> bool:
-        return all(s.conditions_ok for s in self.steps)
-
-    @property
-    def trajectory_ok(self) -> bool:
-        return all(s.value_ok for s in self.steps)
-
-    def first_violation(self) -> tuple[int, str] | None:
-        for s in self.steps:
-            for name in ("set", "budget", "delta", "monotone", "dynamic1", "dynamic2", "approx", "value"):
-                if not getattr(s, f"{name}_ok"):
-                    return s.index, name
-        return None
-
-
-def _monotone_pointwise(family: DynamicFamily, conditioning: frozenset, i: int, k: int) -> bool:
-    """Monotonicity of f_{S_i,i} over the budget-relevant range (|X| <= k+1)."""
-    universe = range(1, i + 1)
-    for r in range(min(k + 1, i) + 1):
-        for xs in combinations(universe, r):
-            x = frozenset(xs)
-            base = family.exact(conditioning, i, x)
-            for e in x:
-                if family.exact(conditioning, i, x - {e}) > base + 1e-12:
-                    return False
-    return True
-
-
-def check_dynamic_conditions(
-    family: DynamicFamily,
-    sets: Sequence[frozenset],
-    k: int,
-    theta: float,
-    gamma: float,
-    eps0: float = 0.0,
-    start_index: int = 1,
-    check_monotone: bool = True,
-) -> DynamicConditionReport:
-    """Verify the drift conditions and the implied value trajectory.
-
-    ``sets[j]`` is the selection entering step ``start_index + j``. Per-step
-    checks: the set lives in the allowed prefix within budget and moves by
-    at most one element; the step function is monotone over the relevant
-    range; the step value has not sagged by more than theta relative to the
-    previous step's function; the enumerated optimum has not grown faster
-    than 1/(1-gamma); the approximate evaluator stays within eps0 below the
-    exact one. The value trajectory check compares each step's achieved
-    value (the first step is self-evaluated as the induction base) against
-    (1-1/e) * (1-theta)^i * (1-gamma)^i * opt_i - i*eps0.
-
-    Raises SequenceViolation when consecutive sets differ by more than one
-    new element (the one-in/one-out contract).
-    """
-    if not sets:
-        raise InvalidSpec("need at least one step")
-    opts = {}
-    for j, s in enumerate(sets):
-        i = start_index + j
-        opts[i] = dynamic_opt(family, i, k)
-    results: list[StepConditions] = []
-    for j, s in enumerate(sets):
-        i = start_index + j
-        prev = sets[j - 1] if j > 0 else None
-        set_ok = all(1 <= t <= i - 1 for t in s)
-        budget_ok = len(s) <= k
-        if prev is not None and len(s - prev) > 1:
-            raise SequenceViolation(f"step {i}: set gained {len(s - prev)} elements")
-        delta_ok = prev is None or len(s - prev) <= 1
-        monotone_ok = (not check_monotone) or _monotone_pointwise(family, s, i, k)
-        if prev is None:
-            dynamic1_ok = True
-            value = family.exact(s, i, s)
-        else:
-            prev_val = family.exact(prev, i - 1, s)
-            cur_val = family.exact(s, i, s)
-            dynamic1_ok = cur_val >= (1.0 - theta) * prev_val - 1e-12
-            value = prev_val
-        nxt = start_index + j + 1
-        if nxt in opts:
-            dynamic2_ok = opts[i] >= (1.0 - gamma) * opts[nxt] - 1e-12
-        else:
-            dynamic2_ok = True
-        approx_ok = True
-        if family._approx is not None:
-            universe = range(1, i + 1)
-            for r in range(min(k, i) + 1):
-                for xs in combinations(universe, r):
-                    x = frozenset(xs)
-                    if family.exact(s, i, x) < family.approx(s, i, x) - eps0 - 1e-12:
-                        approx_ok = False
-                        break
-                if not approx_ok:
-                    break
-        bound = GREEDY_RATIO * (1.0 - theta) ** i * (1.0 - gamma) ** i * opts[i] - i * eps0
-        value_ok = value >= bound - 1e-12
-        results.append(
-            StepConditions(
-                index=i,
-                set_ok=set_ok,
-                budget_ok=budget_ok,
-                delta_ok=delta_ok,
-                monotone_ok=monotone_ok,
-                dynamic1_ok=dynamic1_ok,
-                dynamic2_ok=dynamic2_ok,
-                approx_ok=approx_ok,
-                value=value,
-                bound=bound,
-                value_ok=value_ok,
-            )
-        )
-    return DynamicConditionReport(steps=tuple(results), theta=theta, gamma=gamma, eps0=eps0)
 
 
 def attention_score_instance(

@@ -1,14 +1,16 @@
 """Command-line workflows: outputs, exit codes, reproducibility."""
 
+import argparse
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kvcachelab as kl
-from kvcachelab.cli import main, resolve_budget
+from kvcachelab.cli import build_parser, main, resolve_budget
 from test_trace import MALFORMED_JSON, dominant_key_trace
 
 
@@ -204,11 +206,74 @@ def test_rerun_reproduces_bytes(tmp_path):
     '"str"',
     '{"command": 5}',
     '{"command": "simulate", "config": []}',
-], ids=["list", "string", "int-command", "list-config"])
+    '{"command": "bogus"}',
+    '{"command": "rerun"}',
+    '{"command": "rerun", "config": {"manifest": "bad.manifest.json"}}',
+    '{"command": "simulate", "config": {"nope": 1}}',
+], ids=["list", "string", "int-command", "list-config", "unknown-command", "rerun",
+        "rerun-with-manifest", "unknown-flag"])
 def test_rerun_bad_manifest_is_config_error(tmp_path, manifest):
     path = tmp_path / "bad.manifest.json"
     path.write_text(manifest)
     assert run("rerun", path, "--out-dir", tmp_path / "o") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-trace", "--n", "0", "--d", "4"),
+    ("gen-trace", "--n", "8", "--d", "4", "--exponent", "-1"),
+    ("regress", "--n", "2", "--d", "4"),
+    ("regress", "--n", "0", "--d", "0"),
+    ("regress", "--n", "3", "--d", "0"),
+    ("submodular-verify", "--instances", "2", "--eps", "-1"),
+    ("simulate", "--policy", "full", "--budget", "20%"),
+], ids=["n0", "negative-exponent", "n-below-d", "n0-d0", "d0", "negative-eps", "full-below-n"])
+def test_library_spec_errors_are_config_errors(tmp_path, argv):
+    if argv[0] == "gen-trace":
+        argv += ("--out", tmp_path / "t.kvt")
+    elif argv[0] == "simulate":
+        argv += ("--trace", _gen(tmp_path))
+    assert run(*argv, "--out-dir", tmp_path / "o") == 2
+
+
+def _round_trip_argv(tmp_path):
+    """Each subcommand with every flag away from its default."""
+    trace = _gen(tmp_path)
+    policy_flags = ("--recent-frac", "0.25", "--sink", "2", "--stride", "4")
+    return {
+        "gen-trace": ("--n", 40, "--d", 6, "--kind", "power-law-keys", "--exponent", 1.5,
+                      "--seed", 9, "--out", tmp_path / "rt.kvt"),
+        "simulate": ("--trace", trace, "--policy", "sink_local", "--budget", "30%", *policy_flags),
+        "compare": ("--trace", trace, "--policies", "h2o,sink_local,sparse_strided",
+                    "--budgets", "25%,12", *policy_flags),
+        "sparsity": ("--trace", trace, "--threshold-frac", 0.05),
+        "profile": ("--trace", trace),
+        "submodular-verify": ("--instances", 20, "--eps", 0.2, "--seed", 4),
+        "regress": ("--n", 8, "--d", 3, "--seed", 2, "--tol", "1e-8"),
+    }
+
+
+def test_rerun_round_trips_every_flag(tmp_path):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    cases = _round_trip_argv(tmp_path)
+    assert set(cases) == set(subparsers.choices) - {"rerun"}
+    for command, argv in cases.items():
+        first, second = tmp_path / f"{command}-1", tmp_path / f"{command}-2"
+        argv = [str(a) for a in (*argv, "--out-dir", first)]
+        parsed = vars(parser.parse_args([command, *argv]))
+        for action in subparsers.choices[command]._actions:
+            if action.option_strings and action.dest != "help":
+                assert action.option_strings[0] in argv, (command, action.dest)
+                assert parsed[action.dest] != action.default, (command, action.dest)
+        assert run(command, *argv) == 0
+        manifest = json.loads((first / f"{command}.manifest.json").read_text())
+        produced = {Path(p).name: Path(p).read_bytes() for p in manifest["outputs"]}
+        for p in manifest["outputs"]:
+            Path(p).unlink()
+        assert run("rerun", first / f"{command}.manifest.json", "--out-dir", second) == 0
+        replay = json.loads((second / f"{command}.manifest.json").read_text())
+        assert replay["config"] == manifest["config"]
+        assert {Path(p).name: Path(p).read_bytes() for p in replay["outputs"]} == produced
 
 
 def test_commands_do_not_mutate_inputs(tmp_path):

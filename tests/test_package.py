@@ -26,3 +26,27 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(_imported_names(tree)) - used) == []
+
+
+def _raised_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_class_is_raised():
+    errors = next(p for p in MODULES if p.name == "errors.py")
+    declared = {
+        node.name
+        for node in ast.parse(errors.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef) and node.name != "KVCacheLabError"
+    }
+    raised = {
+        name
+        for path in MODULES
+        if path != errors
+        for name in _raised_names(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert sorted(declared - raised) == []

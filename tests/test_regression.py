@@ -111,6 +111,9 @@ def test_problem_validation():
         RegressionProblem(a=a, b=np.full(3, 0.2), w=np.zeros(3))
     with pytest.raises(InvalidSpec):
         RegressionProblem(a=a, b=np.full(3, 0.2), w=np.ones(3), radius=0.5)  # ||A|| = 1
+    for shape in ((0, 0), (3, 0)):  # no rows or no columns: sigma_min(A) does not exist
+        with pytest.raises(InvalidSpec):
+            RegressionProblem(a=np.zeros(shape), b=np.full(shape[0], 0.2), w=np.ones(shape[0]))
 
 
 # --- derivatives against finite differences ------------------------------------------

@@ -1,24 +1,18 @@
-"""Greedy guarantees, noisy-oracle robustness, dynamic-condition replay."""
+"""Greedy guarantees, noisy-oracle robustness, certification, the attention-score adapter."""
 
-import hashlib
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
 
 import kvcachelab as kl
-from kvcachelab.errors import BadBudget, SequenceViolation, TooLarge
+from kvcachelab.errors import BadBudget, TooLarge
 from kvcachelab.submodular import (
     GREEDY_RATIO,
-    DynamicFamily,
     NoisyOracle,
     SubmodularInstance,
     attention_score_instance,
     brute_force_opt,
-    check_dynamic_conditions,
-    dynamic_opt,
-    expand_sequence,
     greedy,
     robust_greedy,
     robust_greedy_floor,
@@ -185,115 +179,6 @@ def test_certifier_rejects_supermodular():
     # squared modular mass has increasing returns
     inst = SubmodularInstance(3, lambda s: float(len(s)) ** 2)
     assert not inst.certify_submodular()
-
-
-# --- dynamic families ---------------------------------------------------------------
-
-def _decaying_modular_family(n, drift, weights, dip_at=None, dip=1.0, bad_element=None):
-    """Per-step decayed modular family; optional planted defects."""
-
-    def evaluate(z, i, t):
-        scale = (1.0 - drift) ** i * (dip if dip_at is not None and i >= dip_at else 1.0)
-        total = 0.0
-        for j in t:
-            if j <= i:
-                w = weights[j - 1]
-                if bad_element is not None and i == bad_element[0] and j == bad_element[1]:
-                    w = -abs(w)  # monotonicity hole at one step
-                total += w
-        return scale * total
-
-    return DynamicFamily(n, evaluate)
-
-
-def _stable_weights(n, k):
-    # heaviest elements arrive first so the optimum saturates after warmup
-    return [2.0 - 0.1 * j for j in range(k)] + [0.1] * (n - k)
-
-
-def test_static_family_reduces_to_greedy_bound():
-    n, k = 9, 3
-    family = _decaying_modular_family(n, drift=0.0, weights=_stable_weights(n, k))
-    sets = expand_sequence(family, k)
-    report = check_dynamic_conditions(
-        family, sets[k:], k, theta=0.0, gamma=0.0, start_index=k + 1
-    )
-    assert report.all_conditions_ok
-    assert report.trajectory_ok
-    assert report.first_violation() is None
-
-
-def test_drifting_family_satisfies_conditions_and_bound():
-    n, k = 10, 3
-    family = _decaying_modular_family(n, drift=0.009, weights=_stable_weights(n, k))
-    sets = expand_sequence(family, k)
-    report = check_dynamic_conditions(
-        family, sets[k:], k, theta=0.01, gamma=0.01, start_index=k + 1
-    )
-    assert report.all_conditions_ok
-    assert report.trajectory_ok
-
-
-def test_planted_value_drop_detected_at_exact_step():
-    n, k = 10, 3
-    dip_at = 7
-    family = _decaying_modular_family(
-        n, drift=0.009, weights=_stable_weights(n, k), dip_at=dip_at, dip=0.9
-    )
-    sets = expand_sequence(family, k)
-    report = check_dynamic_conditions(
-        family, sets[k:], k, theta=0.01, gamma=0.01, start_index=k + 1
-    )
-    assert report.first_violation() == (dip_at, "dynamic1")
-
-
-def test_planted_monotonicity_hole_detected():
-    n, k = 9, 3
-    bad_step = 6
-    family = _decaying_modular_family(
-        n, drift=0.0, weights=_stable_weights(n, k), bad_element=(bad_step, 5)
-    )
-    sets = expand_sequence(family, k)
-    report = check_dynamic_conditions(
-        family, sets[k:], k, theta=0.01, gamma=0.01, start_index=k + 1
-    )
-    violation = report.first_violation()
-    assert violation == (bad_step, "monotone")
-
-
-def test_sequence_violation_raises():
-    n, k = 6, 2
-    family = _decaying_modular_family(n, drift=0.0, weights=_stable_weights(n, k))
-    bad_sets = [frozenset(), frozenset({1, 2})]  # two elements appear at once
-    with pytest.raises(SequenceViolation):
-        check_dynamic_conditions(family, bad_sets, k, theta=0.0, gamma=0.0, start_index=1)
-
-
-def test_approximate_family_bound_with_eps():
-    n, k = 9, 3
-    eps0 = 0.05
-
-    def noise(i, t):
-        payload = (i, tuple(sorted(t)))
-        digest = hashlib.blake2b(repr(payload).encode(), digest_size=8).digest()
-        return (int.from_bytes(digest, "little") / 2**64 - 0.5) * eps0  # within eps0/2
-
-    base = _decaying_modular_family(n, drift=0.009, weights=_stable_weights(n, k))
-    family = DynamicFamily(
-        n, base.exact, approx=lambda z, i, t: base.exact(z, i, t) + noise(i, t)
-    )
-    sets = expand_sequence(family, k, use_approx=True)
-    report = check_dynamic_conditions(
-        family, sets[k:], k, theta=0.01, gamma=0.01, eps0=eps0, start_index=k + 1
-    )
-    assert report.all_conditions_ok
-    assert report.trajectory_ok
-
-
-def test_dynamic_opt_hand_case():
-    family = _decaying_modular_family(3, drift=0.0, weights=[5.0, 3.0, 1.0])
-    assert dynamic_opt(family, 3, 1) == pytest.approx(5.0)
-    assert dynamic_opt(family, 3, 2) == pytest.approx(8.0)
 
 
 # --- attention-score adapter ----------------------------------------------------------
