@@ -14,8 +14,8 @@ One executable, one subcommand per workflow:
 Every run writes a manifest JSON next to its outputs recording the fully
 resolved configuration; ``rerun`` replays a manifest and must reproduce the
 CSV outputs byte for byte. Exit codes: 0 success, 2 configuration error
-(a bad flag or manifest, or a spec the library rejects with ``InvalidSpec``
-or ``BudgetExceeded``), 3 I/O error, 4 internal failure.
+(a bad flag or manifest, or a spec the library rejects with ``InvalidSpec``),
+3 I/O error, 4 internal failure.
 
 Budgets accept an absolute count (``--budget 64``) or a fraction of the
 trace length (``--budget 20%``, floor-rounded, minimum 2). ``compare``
@@ -36,13 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BudgetExceeded,
-    InvalidSpec,
-    KVCacheLabError,
-    MalformedTrace,
-    MaxIterationsExceeded,
-)
+from .errors import InvalidSpec, KVCacheLabError, MalformedTrace, MaxIterationsExceeded
 from .metrics import (
     deviation_reports,
     heavy_hitter_profile,
@@ -174,9 +168,9 @@ def cmd_simulate(args) -> list[str]:
 def cmd_compare(args) -> list[str]:
     trace = load_trace(args.trace)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    if len(policies) < 2:
-        raise UsageError("--policies needs at least two comma-separated names")
     deduped = list(dict.fromkeys(policies))
+    if len(deduped) < 2:
+        raise UsageError("--policies needs at least two distinct comma-separated names")
     if len(deduped) != len(policies):
         print("warning: duplicate policy names removed", file=sys.stderr)
     budgets = [b.strip() for b in (args.budgets.split(",") if args.budgets else DEFAULT_BUDGET_GRID)]
@@ -185,11 +179,7 @@ def cmd_compare(args) -> list[str]:
         if kind not in POLICY_KINDS:
             raise UsageError(f"--policies contains unknown policy {kind!r}")
         for b in budgets:
-            budget = resolve_budget(b, trace.n)
-            if kind == "full" and budget < trace.n:
-                print(f"warning: skipping full policy at budget {b} (needs 100%)", file=sys.stderr)
-                continue
-            cells.append((b, _policy_from_args(kind, budget, args)))
+            cells.append((b, _policy_from_args(kind, resolve_budget(b, trace.n), args)))
     schedules = [run_policy(trace, policy).evicted_at for _, policy in cells]
     reports = deviation_reports(trace, schedules)
     rows = [
@@ -220,7 +210,8 @@ def cmd_sparsity(args) -> list[str]:
 
 def cmd_profile(args) -> list[str]:
     trace = load_trace(args.trace)
-    full = run_policy(trace, PolicyConfig(kind="full", budget=trace.n))
+    # a window as long as the trace evicts nothing
+    full = run_policy(trace, PolicyConfig(kind="local", budget=trace.n))
     profile = heavy_hitter_profile(full.final_scores, trace.n)
     out = _ensure_out_dir(args)
     path = out / "profile.csv"
@@ -310,6 +301,14 @@ def cmd_regress(args) -> list[str]:
 
 # --- wiring --------------------------------------------------------------------
 
+def non_negative_int(text: str) -> int:
+    """argparse type for seeds (numpy rejects negatives) and counts."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--recent-frac", dest="recent_frac", type=float, default=0.5)
     p.add_argument("--sink", type=int, default=4)
@@ -329,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--kind", default="uniform-gaussian", choices=TRACE_KINDS)
     p.add_argument("--exponent", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--out-dir", dest="out_dir", default="./out")
     p.set_defaults(func=cmd_gen_trace)
@@ -362,16 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("submodular-verify", help="greedy bound sweep vs brute force")
-    p.add_argument("--instances", type=int, default=500)
+    p.add_argument("--instances", type=non_negative_int, default=500)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out-dir", dest="out_dir", default="./out")
     p.set_defaults(func=cmd_submodular_verify)
 
     p = sub.add_parser("regress", help="Newton-solve a random softmax regression")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--d", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out-dir", dest="out_dir", default="./out")
     p.set_defaults(func=cmd_regress)
@@ -449,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "rerun":
             return _rerun(args)
         return _dispatch(args, args.command)
-    except (UsageError, InvalidSpec, BudgetExceeded) as exc:
+    except (UsageError, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, MalformedTrace) as exc:

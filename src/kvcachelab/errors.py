@@ -12,14 +12,14 @@ class KVCacheLabError(Exception):
     """Base class for all errors raised by kvcachelab."""
 
 
-# --- trace files and synthetic specs -------------------------------------
+# --- trace files and specs -----------------------------------------------
 
 class InvalidTrace(KVCacheLabError):
     """A trace object violates its invariants (shape mismatch, NaN, n < 1)."""
 
 
 class InvalidSpec(KVCacheLabError):
-    """A synthetic-trace spec is unusable (bad sizes, unknown kind)."""
+    """A spec the library rejects: a trace, policy, metric or lab setting."""
 
 
 class MalformedTrace(KVCacheLabError):
@@ -35,10 +35,6 @@ class MalformedTrace(KVCacheLabError):
 
 
 # --- policies ---------------------------------------------------------------
-
-class BudgetExceeded(KVCacheLabError):
-    """Policy configuration is impossible (e.g. full policy with k < n)."""
-
 
 class InconsistentState(KVCacheLabError):
     """Policy inputs disagree (scores missing for a tracked token, etc.)."""

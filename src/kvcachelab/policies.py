@@ -7,8 +7,9 @@ names one victim: a cached token to evict, or the incoming token itself
 
 Policies
 --------
-``full``
-    Never evicts; the budget must cover the whole sequence.
+Full attention is any kind at a budget of n or more: no policy ever evicts
+there, so every kind run at budget n is the full-attention baseline.
+
 ``local``
     Keeps only the most recent tokens: always evicts the oldest cached one.
 ``h2o``
@@ -56,11 +57,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetExceeded, InconsistentState, InvalidSpec
+from .errors import InconsistentState, InvalidSpec
 from .trace import AttentionTrace
 
 POLICY_KINDS = (
-    "full",
     "local",
     "h2o",
     "h2_only",
@@ -139,7 +139,7 @@ def fixed_pattern_member(token, step: int, stride: int):
     return ((token - 1) // stride == (step - 1) // stride) | (token % stride == 0)
 
 
-def decide(policy: PolicyConfig, tokens, weights, scores) -> int | None:
+def decide(policy: PolicyConfig, tokens, weights, scores) -> int:
     """Pick the eviction victim for a step on a cache at budget.
 
     ``tokens`` is the attended set in ascending order: the cached tokens,
@@ -147,13 +147,10 @@ def decide(policy: PolicyConfig, tokens, weights, scores) -> int | None:
     weights over ``tokens``; ``scores`` their accumulated scores with this
     step's weights already added (so the incoming token carries its initial
     score). h2o's recency window is the last ``policy.recent_budget``
-    cached tokens. Returns the victim (possibly the incoming token) or None
-    for the full policy. Every argmin takes the first minimum, which is the
-    lowest token.
+    cached tokens. Returns the victim, possibly the incoming token. Every
+    argmin takes the first minimum, which is the lowest token.
     """
     kind = policy.kind
-    if kind == "full":
-        return None
     tokens = np.asarray(tokens)
     if tokens.size < 2:
         raise InconsistentState("decide() called on an empty cache")
@@ -233,10 +230,6 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
     equal records.
     """
     n, budget = trace.n, policy.budget
-    if policy.kind == "full" and budget < n:
-        raise BudgetExceeded(
-            f"full policy needs budget >= n ({budget} < {n}); nothing may be evicted"
-        )
     keys, queries = trace.k, trace.q
     cached = np.zeros(n, dtype=bool)  # the cache, plus the incoming token mid-step
     scores = np.zeros(n)
@@ -257,8 +250,6 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
             slot = i - 1
         else:
             victim = decide(policy, attended + 1, weights, scores[attended])
-            if victim is None:
-                raise InconsistentState(f"policy {policy.kind} returned no victim at budget")
             cached[victim - 1] = False
             evicted_at[victim - 1] = i
             if victim != i:

@@ -252,9 +252,7 @@ class NewtonResult:
         return np.array([s.grad_norm for s in self.states])
 
 
-def _state(problem, x, iteration, damped=False) -> SolverState:
-    g = gradient(problem, x)
-    h = hessian(problem, x)
+def _state(problem, x, g, h, iteration, damped=False) -> SolverState:
     return SolverState(
         iteration=iteration,
         x=x.copy(),
@@ -281,12 +279,11 @@ def newton_solve(
     x = np.zeros(problem.d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (problem.d,):
         raise InvalidSpec(f"x0 must have shape ({problem.d},)")
-    states = [_state(problem, x, 0)]
+    g, h = gradient(problem, x), hessian(problem, x)
+    states = [_state(problem, x, g, h, 0)]
     if states[0].grad_norm <= tol:
         return NewtonResult(states=tuple(states), converged=True)
     for it in range(1, max_iter + 1):
-        g = gradient(problem, x)
-        h = hessian(problem, x)
         damped = False
         try:
             step = np.linalg.solve(h, -g)
@@ -295,7 +292,8 @@ def newton_solve(
             step = np.linalg.solve(h + lam * np.eye(problem.d), -g)
             damped = True
         x = x + step
-        states.append(_state(problem, x, it, damped=damped))
+        g, h = gradient(problem, x), hessian(problem, x)
+        states.append(_state(problem, x, g, h, it, damped=damped))
         if states[-1].grad_norm <= tol:
             return NewtonResult(states=tuple(states), converged=True)
     raise MaxIterationsExceeded(

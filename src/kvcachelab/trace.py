@@ -3,7 +3,7 @@
 A trace holds one head's query and key matrices for ``n`` decode steps.
 Row ``i-1`` belongs to token ``i`` (token indices are 1-based everywhere in
 this package, matching decode-step numbering). Traces are immutable after
-construction and safe to share across workers.
+construction.
 
 File format
 -----------

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from kvcachelab.errors import BudgetExceeded, InconsistentState, InvalidSpec
+from kvcachelab.errors import InconsistentState, InvalidSpec
 from kvcachelab.policies import (
     EvictionEvent,
     PolicyConfig,
@@ -111,11 +111,9 @@ def decide(
     cache: RefCache,
     weights: dict[int, float],
     i: int,
-) -> int | None:
+) -> int:
     """Pick the eviction victim for step ``i`` on a cache at budget."""
     kind = policy.kind
-    if kind == "full":
-        return None
     tracked = cache.tracked
     if not tracked:
         raise InconsistentState("decide() called on an empty cache")
@@ -166,10 +164,6 @@ class ReferenceRecord:
 def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> ReferenceRecord:
     """Replay the budget-constrained generative process over a trace."""
     n = trace.n
-    if policy.kind == "full" and policy.budget < n:
-        raise BudgetExceeded(
-            f"full policy needs budget >= n ({policy.budget} < {n}); nothing may be evicted"
-        )
     cache = RefCache(budget=policy.budget, recent=policy.recent_budget)
     scores: dict[int, float] = {}
     events: list[EvictionEvent] = []
@@ -179,8 +173,6 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> ReferenceRecord:
         scores = update_scores(scores, weights)
         if cache.at_budget:
             victim = decide(policy, scores, cache, weights, i)
-            if victim is None:
-                raise InconsistentState(f"policy {policy.kind} returned no victim at budget")
             events.append(cache.swap(i, victim, i))
             del scores[victim]
         else:

@@ -48,7 +48,7 @@ def test_gen_trace_deterministic(tmp_path):
 def test_simulate_full_policy_all_retained(tmp_path):
     trace = _gen(tmp_path)
     out = tmp_path / "sim"
-    assert run("simulate", "--trace", trace, "--policy", "full", "--budget", "100%",
+    assert run("simulate", "--trace", trace, "--policy", "h2o", "--budget", "100%",
                "--out-dir", out) == 0
     rows = _read_csv(out / "simulate.steps.csv")
     assert len(rows) == 48
@@ -74,17 +74,15 @@ def test_simulate_bad_budget_is_config_error(tmp_path):
 def test_compare_grid_and_full_row_equality(tmp_path):
     trace = _gen(tmp_path, n=40)
     out = tmp_path / "cmp"
-    assert run("compare", "--trace", trace, "--policies", "full,h2o,local,sink_local",
+    assert run("compare", "--trace", trace, "--policies", "h2o,local,sink_local,topk",
                "--out-dir", out) == 0
     rows = _read_csv(out / "compare.csv")
-    at_full = {r["policy"]: r for r in rows if r["budget_spec"] == "100%"}
-    assert set(at_full) == {"full", "h2o", "local", "sink_local"}
-    reference = at_full["full"]
-    for r in at_full.values():
-        assert r["mean_retained_mass"] == reference["mean_retained_mass"]
-        assert r["mean_tv"] == reference["mean_tv"]
-    # full never appears at sub-100% budgets
-    assert not [r for r in rows if r["policy"] == "full" and r["budget_spec"] != "100%"]
+    assert len(rows) == 4 * 5  # every policy at every budget of the default grid
+    at_full = [r for r in rows if r["budget_spec"] == "100%"]
+    assert [r.pop("policy") for r in at_full] == ["h2o", "local", "sink_local", "topk"]
+    # a budget that covers the trace is full attention, whatever the policy
+    assert all(r == at_full[0] for r in at_full)
+    assert float(at_full[0]["mean_retained_mass"]) == 1.0 and float(at_full[0]["mean_tv"]) == 0.0
 
 
 def test_compare_h2o_beats_sink_on_mid_sequence_heavy_trace(tmp_path):
@@ -134,7 +132,9 @@ def test_compare_cells_equal_simulate_summaries(tmp_path):
 
 def test_compare_needs_two_policies(tmp_path):
     trace = _gen(tmp_path, n=24)
-    assert run("compare", "--trace", trace, "--policies", "h2o", "--out-dir", tmp_path) == 2
+    for policies in ("h2o", "h2o,h2o"):
+        assert run("compare", "--trace", trace, "--policies", policies, "--out-dir", tmp_path) == 2
+    assert not (tmp_path / "compare.csv").exists()
 
 
 def test_sparsity_one_hot_trace(tmp_path):
@@ -226,11 +226,18 @@ def test_rerun_bad_manifest_is_config_error(tmp_path, manifest):
     ("regress", "--n", "3", "--d", "0"),
     ("submodular-verify", "--instances", "2", "--eps", "-1"),
     ("simulate", "--policy", "full", "--budget", "20%"),
-], ids=["n0", "negative-exponent", "n-below-d", "n0-d0", "d0", "negative-eps", "full-below-n"])
+    ("compare", "--policies", "full,h2o"),
+    ("gen-trace", "--n", "8", "--d", "4", "--seed", "-1"),
+    ("submodular-verify", "--instances", "2", "--seed", "-1"),
+    ("regress", "--seed", "-1"),
+    ("submodular-verify", "--instances", "-5"),
+], ids=["n0", "negative-exponent", "n-below-d", "n0-d0", "d0", "negative-eps", "full-below-n",
+        "compare-full", "gen-trace-negative-seed", "submodular-negative-seed",
+        "regress-negative-seed", "negative-instances"])
 def test_library_spec_errors_are_config_errors(tmp_path, argv):
     if argv[0] == "gen-trace":
         argv += ("--out", tmp_path / "t.kvt")
-    elif argv[0] == "simulate":
+    elif argv[0] in ("simulate", "compare"):
         argv += ("--trace", _gen(tmp_path))
     assert run(*argv, "--out-dir", tmp_path / "o") == 2
 

@@ -44,7 +44,7 @@ def test_trace_sparsity_rejects_threshold_outside_unit_interval(frac):
 
 def test_full_policy_has_null_deviation():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=20, d=4, seed=1))
-    rec = kl.run_policy(t, kl.PolicyConfig(kind="full", budget=20))
+    rec = kl.run_policy(t, kl.PolicyConfig(kind="topk", budget=20))
     rep = kl.retained_mass(t, rec)
     np.testing.assert_allclose(rep.retained, 1.0, atol=1e-12)
     np.testing.assert_allclose(rep.tv, 0.0, atol=1e-12)
@@ -92,7 +92,8 @@ def test_retained_mass_never_negative():
 # --- heavy-hitter profile ----------------------------------------------------------
 
 def _full_scores(trace):
-    rec = kl.run_policy(trace, kl.PolicyConfig(kind="full", budget=trace.n))
+    # a window as long as the trace evicts nothing
+    rec = kl.run_policy(trace, kl.PolicyConfig(kind="local", budget=trace.n))
     return rec.final_scores
 
 
@@ -182,7 +183,7 @@ def test_memory_ratio_at_fifth_budget():
 
 
 def test_memory_ratio_full():
-    cfg = kl.PolicyConfig(kind="full", budget=100)
+    cfg = kl.PolicyConfig(kind="local", budget=100)
     fp = kl.memory_footprint(cfg, n=100, d=64)
     assert fp.ratio == pytest.approx(1.0)
     assert fp.score_bytes == 0

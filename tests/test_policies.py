@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import kvcachelab as kl
 import reference_engine as ref
-from kvcachelab.errors import BudgetExceeded, InconsistentState, InvalidSpec
+from kvcachelab.errors import InconsistentState, InvalidSpec
 from kvcachelab.policies import decide, fixed_pattern_member, strided_pattern_member
 from kvcachelab.submodular import score_function
 from kvcachelab.trace import TRACE_KINDS
@@ -103,11 +103,6 @@ def test_sparse_patterns_evict_off_pattern():
     assert _decide(cfgf, [4, 9, 12, 13], 14) == 9
 
 
-def test_full_policy_never_picks_victim():
-    cfg = kl.PolicyConfig(kind="full", budget=8)
-    assert _decide(cfg, [1], 2) is None
-
-
 def test_h2o_missing_scores_is_inconsistent():
     cfg = kl.PolicyConfig(kind="h2o", budget=2, recent_frac=0.0)
     with pytest.raises(InconsistentState):
@@ -137,13 +132,13 @@ def test_min_score_equals_literal_argmax_and_h_invariance():
 
 def test_full_run_matches_exact_attention():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=24, d=4, seed=2))
-    rec = kl.run_policy(t, kl.PolicyConfig(kind="full", budget=24))
+    rec = kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=24))
     # step i only reads the first i tokens, so what step i adds to the scores
     # of a run over that prefix is exactly its prediction-time weights
     prev = {}
     for i in range(1, t.n + 1):
         prefix = kl.AttentionTrace(q=t.q[:i], k=t.k[:i])
-        scores = kl.run_policy(prefix, kl.PolicyConfig(kind="full", budget=i)).final_scores
+        scores = kl.run_policy(prefix, kl.PolicyConfig(kind="h2o", budget=i)).final_scores
         exact = ref.softmax_over(t, i, np.arange(1, i + 1))
         assert sorted(scores) == list(range(1, i + 1))
         for j, w in enumerate(exact, start=1):
@@ -157,18 +152,15 @@ def test_full_run_matches_exact_attention():
 
 
 def test_oversized_budget_behaves_like_full():
+    # full attention is any kind at a budget that covers the trace
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=16, d=4, seed=3))
-    full = kl.run_policy(t, kl.PolicyConfig(kind="full", budget=20))
-    for kind in ("h2o", "local", "sink_local", "topk", "h2_only"):
-        rec = kl.run_policy(t, kl.PolicyConfig(kind=kind, budget=20))
-        assert [e.evicted for e in rec.events] == [None] * t.n
-        assert rec.final_tracked == full.final_tracked
-
-
-def test_full_policy_requires_covering_budget():
-    t = kl.generate_trace(kl.SyntheticTraceSpec(n=16, d=4, seed=3))
-    with pytest.raises(BudgetExceeded):
-        kl.run_policy(t, kl.PolicyConfig(kind="full", budget=8))
+    for budget in (t.n, t.n + 4):
+        runs = [kl.run_policy(t, kl.PolicyConfig(kind=kind, budget=budget)) for kind in kl.POLICY_KINDS]
+        for rec in runs:
+            assert [e.evicted for e in rec.events] == [None] * t.n
+            assert rec.final_tracked == frozenset(range(1, t.n + 1))
+            assert (rec.evicted_at == t.n + 1).all()
+            assert rec.final_scores == runs[0].final_scores
 
 
 def _contract_violations(record, budget):
@@ -192,9 +184,8 @@ def _contract_violations(record, budget):
 def test_eviction_contract_all_policies_small():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=48, d=4, kind="power-law-keys", seed=9))
     for kind in kl.POLICY_KINDS:
-        budget = t.n if kind == "full" else 12
-        rec = kl.run_policy(t, kl.PolicyConfig(kind=kind, budget=budget))
-        assert _contract_violations(rec, budget) == 0
+        rec = kl.run_policy(t, kl.PolicyConfig(kind=kind, budget=12))
+        assert _contract_violations(rec, 12) == 0
 
 
 def test_h2o_never_evicts_recent_window():
@@ -297,11 +288,6 @@ METRIC_ATOL = 64 * np.finfo(np.float64).eps
 
 
 def _assert_matches_reference(t, cfg):
-    if cfg.kind == "full" and cfg.budget < t.n:
-        for engine in (kl.run_policy, ref.run_policy):
-            with pytest.raises(BudgetExceeded):
-                engine(t, cfg)
-        return
     got = kl.run_policy(t, cfg)
     want = ref.run_policy(t, cfg)
     assert got.events == want.events
@@ -344,5 +330,4 @@ def test_engine_matches_reference_within_tolerance(run):
 def test_engine_matches_reference_across_exact_blocks(kind):
     # n = 257 gives 127-row exact blocks: two full ones and a partial third
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=257, d=8, kind="power-law-keys", seed=11))
-    budget = t.n if kind == "full" else 51
-    _assert_matches_reference(t, kl.PolicyConfig(kind=kind, budget=budget, sink=3, stride=5))
+    _assert_matches_reference(t, kl.PolicyConfig(kind=kind, budget=51, sink=3, stride=5))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kvcachelab as kl
+import kvcachelab.regression as regression
 from kvcachelab.errors import InvalidSpec, MaxIterationsExceeded, NonFinite
 from kvcachelab.regression import (
     RegressionProblem,
@@ -275,6 +276,22 @@ def test_quadratic_tail():
     for gt, gnext in zip(tail, tail[1:]):
         if 1e-7 < gt < 0.1:  # above the float cancellation floor
             assert gnext <= gt**1.5  # at-least-quadratic contraction
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_newton_evaluates_gradient_and_hessian_once_per_iterate(monkeypatch, seed):
+    calls = {"gradient": 0, "hessian": 0}
+    for name in calls:
+        oracle = getattr(regression, name)
+
+        def counted(problem, x, oracle=oracle, name=name):
+            calls[name] += 1
+            return oracle(problem, x)
+
+        monkeypatch.setattr(regression, name, counted)
+    r = newton_solve(random_problem(n=10, d=4, seed=seed), tol=1e-10)
+    assert r.converged and r.iterations >= 2
+    assert calls == {"gradient": r.iterations + 1, "hessian": r.iterations + 1}
 
 
 def test_max_iterations_exceeded_carries_trajectory():
