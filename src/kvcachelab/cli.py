@@ -160,6 +160,8 @@ def cmd_simulate(args) -> list[str]:
             "mean_retained_mass": report.mean_retained,
             "mean_tv": report.mean_tv,
             "evictions": sum(1 for ev in record.events if ev.evicted is not None),
+            # victims that were the incoming token itself
+            "refusals": sum(1 for ev in record.events if ev.evicted == ev.admitted),
         },
     )
     return [str(steps_csv), str(summary)]

@@ -13,10 +13,10 @@ there, so every kind run at budget n is the full-attention baseline.
 ``local``
     Keeps only the most recent tokens: always evicts the oldest cached one.
 ``h2o``
-    Heavy-hitter policy. The last ``recent_budget`` cached tokens are a
+    Heavy-hitter policy. The last ``recent_budget`` admitted tokens are a
     shielded recency window (tokens are admitted in order and h2o never
-    evicts a window member, so these are the most recently admitted ones);
-    among the cached tokens before the window plus the incoming token, it
+    evicts a window member, so these are the highest cached tokens);
+    among the cached tokens below the window plus the incoming token, it
     evicts the one whose removal maximizes a score function h over the
     survivors. Because h is a non-decreasing transform of the summed
     accumulated scores, that argmax is the candidate with the minimum
@@ -35,14 +35,22 @@ there, so every kind run at budget n is the full-attention baseline.
     Memoryless heavy-hitter: evicts the cached token with the smallest
     current-step weight.
 
-:func:`run_policy` keeps the decode state in per-token numpy arrays: a
-cached-token bitmap whose ``flatnonzero`` is the sorted attended set, the
-accumulated scores (each token starting at its own weight) and the cache
-slots. This eviction schedule is the library's only cache model.
-:func:`decide` is an argmin over arrays aligned with the attended set, ties
-going to the lowest token, so a simulation is a pure function of (trace,
-config). The loop makes decisions and does not measure: besides one
-:class:`EvictionEvent` per step (written as JSON lines by
+:func:`run_policy` keeps the decode state in slot-aligned arrays, the
+library's only cache model: ``slot_keys`` (the k cached keys, then the
+incoming key in row k), ``slot_tok`` (the token in each slot) and
+``slot_score`` (each slot's accumulated score, a token starting at its own
+weight). A step's attention is one gemv over ``slot_keys``; an admitted
+token overwrites its victim's slot in place, as a KV cache does, so a step
+never scans or gathers by token. While the cache fills, slot s holds token
+s + 1 and the products read the trace's keys directly; the slot matrix
+exists only when the budget is below n.
+
+:func:`decide` takes its arrays in slot order, with the incoming token
+last, and returns the victim's index into them (the last index refuses the
+incoming token). Every tie goes to the lowest token, so the victim does
+not depend on the slot order and a simulation is a pure function of
+(trace, config). The loop makes decisions and does not measure: besides
+one :class:`EvictionEvent` per step (written as JSON lines by
 :func:`events_to_jsonl`) it records, per token, the step at which the token
 left the cache (``evicted_at``). The exact rows that retained mass and TV
 compare against depend only on the trace, so :mod:`kvcachelab.metrics`
@@ -101,7 +109,7 @@ class PolicyConfig:
     """Which policy to run and its knobs.
 
     ``recent_frac`` splits the h2o budget: the last
-    floor(recent_frac * budget) cached tokens are the recency window and
+    floor(recent_frac * budget) admitted tokens are the recency window and
     the rest hold heavy hitters.
     """
 
@@ -139,43 +147,56 @@ def fixed_pattern_member(token, step: int, stride: int):
     return ((token - 1) // stride == (step - 1) // stride) | (token % stride == 0)
 
 
-def decide(policy: PolicyConfig, tokens, weights, scores) -> int:
+def _argmin_lowest_token(values: np.ndarray, tokens: np.ndarray) -> int:
+    """Index of the minimum of ``values``, ties going to the lowest token."""
+    j = int(values.argmin())
+    ties = values == values[j]
+    if np.count_nonzero(ties) <= 1:  # none when the minimum is NaN
+        return j
+    ties = np.flatnonzero(ties)
+    return int(ties[tokens[ties].argmin()])
+
+
+def decide(policy: PolicyConfig, tokens, weights, scores, window_low: int) -> int:
     """Pick the eviction victim for a step on a cache at budget.
 
-    ``tokens`` is the attended set in ascending order: the cached tokens,
-    then the incoming token last. ``weights`` are the step's softmax
-    weights over ``tokens``; ``scores`` their accumulated scores with this
-    step's weights already added (so the incoming token carries its initial
-    score). h2o's recency window is the last ``policy.recent_budget``
-    cached tokens. Returns the victim, possibly the incoming token. Every
-    argmin takes the first minimum, which is the lowest token.
+    ``tokens`` is the attended set in slot order: the cached tokens, then
+    the incoming token last, which is the highest. ``weights`` are the
+    step's softmax weights over ``tokens``; ``scores`` their accumulated
+    scores with this step's weights already added (so the incoming token
+    carries its initial score). ``window_low`` is the lowest token of h2o's
+    recency window, the incoming token when the window is empty; other
+    kinds ignore it. Returns the victim's index into ``tokens``, the last
+    index being a refusal of the incoming token. The victim does not depend
+    on the slot order: every tie goes to the lowest token.
     """
     kind = policy.kind
     tokens = np.asarray(tokens)
     if tokens.size < 2:
         raise InconsistentState("decide() called on an empty cache")
-    cached = tokens[:-1]
-    incoming = int(tokens[-1])
+    cached, incoming = tokens[:-1], tokens[-1]
     if kind == "local":
-        return int(cached[0])
+        return int(cached.argmin())
     if kind == "sink_local":
-        first_movable = int(np.searchsorted(cached, policy.sink, side="right"))
-        return int(cached[first_movable]) if first_movable < cached.size else incoming
+        movable = cached > policy.sink
+        return int(np.where(movable, cached, incoming).argmin()) if movable.any() else cached.size
     if kind in ("sparse_strided", "sparse_fixed"):
         member = strided_pattern_member if kind == "sparse_strided" else fixed_pattern_member
-        off = cached[~member(cached, incoming, policy.stride)]
-        return int(off[0]) if off.size else int(cached[0])
+        off = ~member(cached, int(incoming), policy.stride)
+        # the oldest cached token when every one is still on-pattern
+        return int((np.where(off, cached, incoming) if off.any() else cached).argmin())
     if kind == "topk":
-        return int(cached[np.argmin(np.asarray(weights)[:-1])])
+        return _argmin_lowest_token(np.asarray(weights)[:-1], cached)
     scores = np.asarray(scores)
     if scores.shape != tokens.shape:
         raise InconsistentState(f"{scores.size} accumulated scores for {tokens.size} candidates")
     if kind == "h2_only":
-        return int(tokens[np.argmin(scores)])
+        return _argmin_lowest_token(scores, tokens)
     if kind == "h2o":
-        # the cached tokens before the window, then the incoming token
-        candidates = np.r_[: cached.size - policy.recent_budget, cached.size]
-        return int(tokens[candidates[np.argmin(scores[candidates])]])
+        # the candidates: the cached tokens below the window, then the incoming token
+        candidates = np.where(tokens < window_low, scores, np.inf)
+        candidates[-1] = scores[-1]
+        return _argmin_lowest_token(candidates, tokens)
     raise InvalidSpec(f"unknown policy {kind!r}")
 
 
@@ -212,12 +233,12 @@ class SimulationRecord:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    # the arithmetic of the reference loop's softmax (tests/reference_engine.py),
-    # which the outputs are pinned to
-    shift = float(logits.max())
-    expo = np.exp(logits - shift)
-    total = float(expo.sum())
-    return expo / total
+    # in place, with the arithmetic of the reference loop's softmax
+    # (tests/reference_engine.py), which the outputs are pinned to
+    logits -= logits.max()
+    np.exp(logits, out=logits)
+    logits /= logits.sum()
+    return logits
 
 
 def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
@@ -229,41 +250,50 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
     each token leaves. Deterministic: equal (trace, policy) inputs give
     equal records.
     """
-    n, budget = trace.n, policy.budget
-    keys, queries = trace.k, trace.q
-    cached = np.zeros(n, dtype=bool)  # the cache, plus the incoming token mid-step
-    scores = np.zeros(n)
-    slot_of = np.zeros(n, dtype=np.int64)
+    n, keys, queries = trace.n, trace.k, trace.q
+    k = min(policy.budget, n)
+    # k cache slots, then slot k for the incoming token
+    slot_tok = np.arange(1, k + 2)
+    slot_score = np.zeros(k + 1)
     events: list[EvictionEvent] = []
     evicted_at = np.full(n, n + 1, dtype=np.int64)
 
-    for i in range(1, n + 1):
-        query = queries[i - 1]
-        cached[i - 1] = True
-        # while filling the cache holds exactly tokens 1..i, so a slice is the
-        # attended set (same products as the gather, without the copy)
-        attended = slice(0, i) if i <= budget else np.flatnonzero(cached[:i])
-        weights = _softmax(keys[attended] @ query)
-        scores[attended] += weights
-        victim = slot = None
-        if i <= budget:  # filling: step i writes slot i - 1
-            slot = i - 1
-        else:
-            victim = decide(policy, attended + 1, weights, scores[attended])
-            cached[victim - 1] = False
-            evicted_at[victim - 1] = i
-            if victim != i:
-                slot = int(slot_of[victim - 1])
-        events.append(EvictionEvent(step=i, evicted=victim, admitted=i, slot=slot))
-        if slot is not None:
-            slot_of[i - 1] = slot
+    # filling: step i writes token i into slot i - 1, so the cached keys are keys[:i]
+    for i in range(1, k + 1):
+        slot_score[:i] += _softmax(keys[:i] @ queries[i - 1])
+        events.append(EvictionEvent(step=i, evicted=None, admitted=i, slot=i - 1))
 
-    final = np.flatnonzero(cached) + 1
+    if k < n:
+        slot_keys = np.empty((k + 1, trace.d))
+        slot_keys[:k] = keys[:k]
+        # admission order; h2o never evicts its window, so the window is the last r
+        admitted = list(range(1, k + 1))
+        r = policy.recent_budget
+        for i in range(k + 1, n + 1):
+            slot_keys[k] = keys[i - 1]
+            slot_tok[k] = i
+            slot_score[k] = 0.0
+            weights = _softmax(slot_keys @ queries[i - 1])
+            slot_score += weights
+            v = decide(policy, slot_tok, weights, slot_score, admitted[-r] if r else i)
+            victim = int(slot_tok[v])
+            evicted_at[victim - 1] = i
+            slot = None
+            if v < k:  # the incoming token takes the victim's slot
+                slot_keys[v] = slot_keys[k]
+                slot_tok[v] = i
+                slot_score[v] = slot_score[k]
+                admitted.append(i)
+                slot = v
+            events.append(EvictionEvent(step=i, evicted=victim, admitted=i, slot=slot))
+
+    order = np.argsort(slot_tok[:k])
+    final = slot_tok[order]
     return SimulationRecord(
         config=policy,
         n=n,
         events=events,
         final_tracked=frozenset(final.tolist()),
-        final_scores={int(t): float(scores[t - 1]) for t in final},
+        final_scores=dict(zip(final.tolist(), slot_score[order].tolist())),
         evicted_at=evicted_at,
     )

@@ -274,8 +274,11 @@ def newton_solve(
     Returns the full trajectory (state 0 is the starting point). Raises
     :class:`MaxIterationsExceeded` — with the partial trajectory attached —
     if ``max_iter`` steps do not reach ``tol``. A singular Hessian solve
-    falls back to a ridge-damped system and flags the state.
+    falls back to a ridge-damped system and flags the state. A ``tol`` that
+    is not finite and >= 0 raises :class:`InvalidSpec`.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise InvalidSpec(f"tol must be finite and >= 0, got {tol}")
     x = np.zeros(problem.d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (problem.d,):
         raise InvalidSpec(f"x0 must have shape ({problem.d},)")

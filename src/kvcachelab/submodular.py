@@ -201,8 +201,8 @@ class NoisyOracle:
     """
 
     def __init__(self, instance: SubmodularInstance, eps: float, seed: int = 0, adversarial: bool = False):
-        if eps < 0:
-            raise InvalidSpec("eps must be >= 0")
+        if not (math.isfinite(eps) and eps >= 0):
+            raise InvalidSpec(f"eps must be finite and >= 0, got {eps}")
         self.instance = instance
         self.eps = eps
         self.seed = seed

@@ -7,12 +7,21 @@ with its recently admitted tokens, and a second pass that replays the
 cached sets to measure retained mass and TV, plus the row-by-row sparsity
 loop. It computes its own attention (:func:`softmax_over`) and keeps its own
 cache (:class:`RefCache`), whose admission-ordered list models h2o's recency
-window independently of the engine's slice of the cached tokens. It takes
-from ``kvcachelab`` only the trace, config and event types, the errors and
-the two pattern predicates, so a bug in library attention or metrics cannot
-reach both sides of an equivalence test. The tests require the engine's
-events and scores to match it bit for bit and the blocked metrics to match
-it within a tolerance fixed by the dtype; nothing under ``src/`` imports it.
+window independently of the engine's window threshold.
+
+Each step attends over the cached tokens in slot order, then the incoming
+token, because that is the order of the engine's slot matrix. A softmax sums
+its terms in the order it is given them, so attending in token order would
+move the weights, and with them the accumulated scores, in the last bits.
+Given equal weights and scores, a decision never depends on the order: ties
+go to the lowest token.
+
+The oracle takes from ``kvcachelab`` only the trace, config and event types,
+the errors and the two pattern predicates, so a bug in library attention or
+metrics cannot reach both sides of an equivalence test. The tests require
+the engine's events and scores to match it bit for bit and the blocked
+metrics to match it within a tolerance fixed by the dtype; nothing under
+``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -40,8 +49,8 @@ def softmax_over(trace: AttentionTrace, i: int, tokens: np.ndarray) -> np.ndarra
 
 
 def masked_step(trace: AttentionTrace, i: int, attended) -> dict[int, float]:
-    """Attention weight of each token in ``attended`` at step ``i``."""
-    tokens = np.array(sorted(set(attended)), dtype=np.int64)
+    """Attention weight of each token in ``attended`` at step ``i``, summed in that order."""
+    tokens = np.array(attended, dtype=np.int64)
     return {int(t): float(w) for t, w in zip(tokens, softmax_over(trace, i, tokens))}
 
 
@@ -63,6 +72,10 @@ class RefCache:
     @property
     def tracked(self) -> frozenset[int]:
         return frozenset(self.slot_of)
+
+    @property
+    def in_slot_order(self) -> list[int]:
+        return sorted(self.slot_of, key=self.slot_of.__getitem__)
 
     @property
     def at_budget(self) -> bool:
@@ -169,7 +182,7 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> ReferenceRecord:
     events: list[EvictionEvent] = []
 
     for i in range(1, n + 1):
-        weights = masked_step(trace, i, [*cache.tracked, i])
+        weights = masked_step(trace, i, [*cache.in_slot_order, i])
         scores = update_scores(scores, weights)
         if cache.at_budget:
             victim = decide(policy, scores, cache, weights, i)

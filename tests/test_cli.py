@@ -58,6 +58,21 @@ def test_simulate_full_policy_all_retained(tmp_path):
     assert summary["mean_retained_mass"] == 1.0
 
 
+def test_simulate_summary_counts_refusals(tmp_path):
+    trace = _gen(tmp_path)
+    refusals = {}
+    for policy in ("h2o", "local"):
+        out = tmp_path / policy
+        assert run("simulate", "--trace", trace, "--policy", policy, "--out-dir", out) == 0
+        summary = json.loads((out / "simulate.summary.json").read_text())
+        # a refused step names its own incoming token as the victim
+        rows = _read_csv(out / "simulate.steps.csv")
+        assert summary["refusals"] == sum(r["evicted"] == r["i"] for r in rows)
+        refusals[policy] = summary["refusals"]
+    assert refusals["h2o"] > 0
+    assert refusals["local"] == 0
+
+
 def test_simulate_missing_trace_is_config_error(tmp_path):
     assert run("simulate", "--policy", "h2o", "--out-dir", tmp_path) == 2
 
@@ -231,9 +246,14 @@ def test_rerun_bad_manifest_is_config_error(tmp_path, manifest):
     ("submodular-verify", "--instances", "2", "--seed", "-1"),
     ("regress", "--seed", "-1"),
     ("submodular-verify", "--instances", "-5"),
+    ("submodular-verify", "--instances", "2", "--eps", "nan"),
+    ("submodular-verify", "--instances", "2", "--eps", "inf"),
+    ("regress", "--tol", "nan"),
+    ("regress", "--tol", "-1"),
 ], ids=["n0", "negative-exponent", "n-below-d", "n0-d0", "d0", "negative-eps", "full-below-n",
         "compare-full", "gen-trace-negative-seed", "submodular-negative-seed",
-        "regress-negative-seed", "negative-instances"])
+        "regress-negative-seed", "negative-instances", "nan-eps", "inf-eps", "nan-tol",
+        "negative-tol"])
 def test_library_spec_errors_are_config_errors(tmp_path, argv):
     if argv[0] == "gen-trace":
         argv += ("--out", tmp_path / "t.kvt")

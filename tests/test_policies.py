@@ -16,12 +16,18 @@ from kvcachelab.submodular import score_function
 from kvcachelab.trace import TRACE_KINDS
 
 
+def _window_low(cfg, cached, i):
+    """Lowest token of h2o's window when ``cached`` was admitted in token order."""
+    r = cfg.recent_budget
+    return sorted(cached)[-r] if r else i
+
+
 def _decide(cfg, cached, i, scores=None, weights=None):
-    """Array decide on cached tokens plus incoming ``i``, from per-token dicts."""
-    tokens = sorted(cached) + [i]
+    """Victim token of array decide on ``cached`` (in slot order) plus incoming ``i``."""
+    tokens = list(cached) + [i]
     w = [(weights or {}).get(t, 0.0) for t in tokens]
     s = [(scores or {}).get(t, 0.0) for t in tokens]
-    return decide(cfg, tokens, w, s)
+    return tokens[decide(cfg, tokens, w, s, _window_low(cfg, cached, i))]
 
 
 def reference_h2o_victim(candidates, all_members, scores, h):
@@ -106,7 +112,64 @@ def test_sparse_patterns_evict_off_pattern():
 def test_h2o_missing_scores_is_inconsistent():
     cfg = kl.PolicyConfig(kind="h2o", budget=2, recent_frac=0.0)
     with pytest.raises(InconsistentState):
-        decide(cfg, [1, 2, 3], [0.0, 0.0, 0.0], [0.5])
+        decide(cfg, [1, 2, 3], [0.0, 0.0, 0.0], [0.5], 3)
+
+
+def test_tied_scores_in_reverse_slot_order_evict_the_lower_token():
+    # token 7 sits in an earlier slot than token 3, but ties go to the lowest token
+    tokens = [7, 3, 9, 10]
+    scores = [0.2, 0.2, 0.5, 0.9]
+    for kind in ("h2_only", "h2o"):
+        cfg = kl.PolicyConfig(kind=kind, budget=3, recent_frac=0.0)
+        assert decide(cfg, tokens, [0.0] * 4, scores, 10) == 1
+    topk = kl.PolicyConfig(kind="topk", budget=3)
+    assert decide(topk, tokens, [0.1, 0.1, 0.3, 0.5], [0.0] * 4, 10) == 1
+    local = kl.PolicyConfig(kind="local", budget=3)
+    assert decide(local, tokens, [0.0] * 4, [0.0] * 4, 10) == 1
+
+
+def test_nan_score_is_the_minimum():
+    # overflowing logits give NaN weights; argmin's first NaN wins, without a tie search
+    cfg = kl.PolicyConfig(kind="h2_only", budget=2)
+    assert decide(cfg, [2, 1, 3], [0.0] * 3, [0.5, np.nan, 0.1], 3) == 1
+
+
+@st.composite
+def _slot_orders(draw):
+    k = draw(st.integers(1, 10))
+    cached = draw(st.lists(st.integers(1, 40), min_size=k, max_size=k, unique=True))
+    i = max(cached) + draw(st.integers(1, 4))
+    # few distinct values, so that weights and scores often tie
+    values = st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=k + 1, max_size=k + 1)
+    cfg = kl.PolicyConfig(
+        kind=draw(st.sampled_from(kl.POLICY_KINDS)),
+        budget=k,
+        recent_frac=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+        sink=draw(st.integers(0, 12)),
+        stride=draw(st.integers(1, 12)),
+    )
+    return cfg, cached, i, draw(values), draw(values), draw(st.permutations(range(k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slot_orders())
+def test_decide_victim_does_not_depend_on_slot_order(case):
+    cfg, cached, i, weights, scores, perm = case
+    tokens = np.array(cached + [i])
+    low = _window_low(cfg, cached, i)
+    victims = []
+    for order in (range(len(cached)), perm):
+        # permute the cached entries together, keeping the incoming token last
+        idx = [*order, len(cached)]
+        v = decide(cfg, tokens[idx], np.array(weights)[idx], np.array(scores)[idx], low)
+        victims.append(int(tokens[idx][v]))
+    # the oracle's decide, on a cache that admitted the tokens in token order
+    cache = ref.RefCache(budget=cfg.budget, recent=cfg.recent_budget)
+    for step, t in enumerate(sorted(cached), start=1):
+        cache.admit(step, t)
+    victims.append(ref.decide(cfg, dict(zip(tokens.tolist(), scores)), cache,
+                              dict(zip(tokens.tolist(), weights)), i))
+    assert victims[0] == victims[1] == victims[2]
 
 
 # --- shortcut equivalence and score-function invariance ---------------------------
@@ -331,3 +394,16 @@ def test_engine_matches_reference_across_exact_blocks(kind):
     # n = 257 gives 127-row exact blocks: two full ones and a partial third
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=257, d=8, kind="power-law-keys", seed=11))
     _assert_matches_reference(t, kl.PolicyConfig(kind=kind, budget=51, sink=3, stride=5))
+
+
+@pytest.fixture(scope="module")
+def decode_shape_trace():
+    return kl.generate_trace(kl.SyntheticTraceSpec(n=600, d=64, kind="power-law-keys", seed=13))
+
+
+@pytest.mark.parametrize("budget", [120, 409])
+@pytest.mark.parametrize("kind", kl.POLICY_KINDS)
+def test_engine_matches_reference_at_benchmark_shape(decode_shape_trace, kind, budget):
+    # the decode benchmark's head size and budget: multi-row gemvs over a slot
+    # matrix whose order has been permuted by hundreds of swaps
+    _assert_matches_reference(decode_shape_trace, kl.PolicyConfig(kind=kind, budget=budget))
