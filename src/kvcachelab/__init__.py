@@ -7,12 +7,16 @@ executable verification lab for greedy's guarantees on static submodular
 objectives and the softmax-regression numerics that motivate heavy-hitter
 caching.
 
-One decode path carries every result: :func:`run_policy` keeps the cache as
-per-token arrays and records its eviction schedule (one event per step, and
-the step at which each token left), and :mod:`kvcachelab.metrics` scores any
+One decode path carries every result: :func:`run_policies` keeps the cache
+in slot-aligned arrays, steps any number of (policy, budget) cells over one
+trace in one pass (:func:`run_policy` is its one-cell call) and records each
+cell's eviction schedule (one event per step, and the step at which each
+token left), and :mod:`kvcachelab.metrics` scores any
 number of schedules against the exact attention map, which
 :func:`exact_blocks` yields in causal row blocks.
 """
+
+import importlib
 
 from .attention import exact_blocks
 from .errors import KVCacheLabError
@@ -36,30 +40,8 @@ from .policies import (
     SimulationRecord,
     decide,
     events_to_jsonl,
+    run_policies,
     run_policy,
-)
-from .regression import (
-    LossBreakdown,
-    NewtonResult,
-    RegressionProblem,
-    check_hessian_lipschitz,
-    gradient,
-    hessian,
-    loss,
-    newton_solve,
-    random_problem,
-)
-from .submodular import (
-    GREEDY_RATIO,
-    NoisyOracle,
-    Selection,
-    SubmodularInstance,
-    attention_score_instance,
-    brute_force_opt,
-    greedy,
-    robust_greedy,
-    robust_greedy_floor,
-    score_function,
 )
 from .trace import (
     AttentionTrace,
@@ -70,3 +52,17 @@ from .trace import (
 )
 
 __version__ = "0.1.0"
+
+# The theory lab loads on first use, so the decode commands never import it;
+# each lab module's __all__ names what the package re-exports from it.
+_LAB_MODULES = ("regression", "submodular")
+
+
+def __getattr__(name: str):
+    if not name.startswith("_"):
+        for lab in _LAB_MODULES:
+            module = importlib.import_module(f".{lab}", __name__)
+            if name in module.__all__:
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,10 +19,12 @@ CSV outputs byte for byte. Exit codes: 0 success, 2 configuration error
 
 Budgets accept an absolute count (``--budget 64``) or a fraction of the
 trace length (``--budget 20%``, floor-rounded, minimum 2). ``compare``
-runs its (policy, budget) cells one after another in this process, keeping
-only each run's eviction schedule, then measures every cell in one shared
-pass over the exact attention map; ``simulate`` makes the same pass for its
-one run, so a cell's numbers equal the matching ``simulate`` summary.
+decodes all of its (policy, budget) cells in one pass (a shared fill, then
+the cells of each cache size in lockstep; see :mod:`kvcachelab.policies`),
+keeping only each run's eviction schedule, then measures every cell in one
+shared pass over the exact attention map; ``simulate`` makes the same
+passes for its one run, so a cell's numbers equal the matching
+``simulate`` summary.
 """
 
 from __future__ import annotations
@@ -44,17 +46,7 @@ from .metrics import (
     retained_mass,
     trace_sparsity,
 )
-from .policies import POLICY_KINDS, PolicyConfig, run_policy
-from .regression import newton_solve, random_problem
-from .submodular import (
-    GREEDY_RATIO,
-    NoisyOracle,
-    SubmodularInstance,
-    brute_force_opt,
-    greedy,
-    robust_greedy,
-    robust_greedy_floor,
-)
+from .policies import POLICY_KINDS, PolicyConfig, run_policies, run_policy
 from .trace import TRACE_KINDS, SyntheticTraceSpec, generate_trace, load_trace, save_trace
 
 DEFAULT_BUDGET_GRID = ("4%", "10%", "20%", "60%", "100%")
@@ -64,16 +56,16 @@ class UsageError(Exception):
     """Configuration problem; maps to exit code 2."""
 
 
-def _fmt(value) -> str:
-    """Deterministic CSV cell: shortest round-trip repr for floats."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+_FLOATS = (float, np.floating)
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write rows as CSV: floats as their shortest round-trip repr, the rest as ``str``."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(
+        ",".join([repr(float(cell)) if isinstance(cell, _FLOATS) else str(cell) for cell in row])
+        for row in rows
+    )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -136,6 +128,17 @@ def cmd_gen_trace(args) -> list[str]:
     return [args.out]
 
 
+def _mean_eviction_age(record) -> float | None:
+    """Mean of ``evicted_at[t - 1] - t`` over the evicted cached tokens.
+
+    Refused tokens (evicted at their own step) are not counted; None when
+    no cached token was evicted.
+    """
+    age = record.evicted_at - np.arange(1, record.n + 1)
+    evicted = (age > 0) & (record.evicted_at <= record.n)
+    return float(age[evicted].mean()) if evicted.any() else None
+
+
 def cmd_simulate(args) -> list[str]:
     trace = load_trace(args.trace)
     budget = resolve_budget(args.budget, trace.n)
@@ -162,6 +165,7 @@ def cmd_simulate(args) -> list[str]:
             "evictions": sum(1 for ev in record.events if ev.evicted is not None),
             # victims that were the incoming token itself
             "refusals": sum(1 for ev in record.events if ev.evicted == ev.admitted),
+            "mean_eviction_age": _mean_eviction_age(record),
         },
     )
     return [str(steps_csv), str(summary)]
@@ -182,7 +186,7 @@ def cmd_compare(args) -> list[str]:
             raise UsageError(f"--policies contains unknown policy {kind!r}")
         for b in budgets:
             cells.append((b, _policy_from_args(kind, resolve_budget(b, trace.n), args)))
-    schedules = [run_policy(trace, policy).evicted_at for _, policy in cells]
+    schedules = [record.evicted_at for record in run_policies(trace, [policy for _, policy in cells])]
     reports = deviation_reports(trace, schedules)
     rows = [
         [policy.kind, b, policy.budget, report.mean_retained, report.mean_tv,
@@ -229,7 +233,9 @@ def cmd_profile(args) -> list[str]:
     return [str(path), str(summary)]
 
 
-def _random_instance(rng: np.random.Generator) -> tuple[SubmodularInstance, int]:
+def _random_instance(rng: np.random.Generator):
+    from .submodular import SubmodularInstance
+
     n = int(rng.integers(6, 13))
     k = int(rng.integers(1, 5))
     kind = ("modular", "budget_additive", "coverage")[int(rng.integers(3))]
@@ -245,6 +251,16 @@ def _random_instance(rng: np.random.Generator) -> tuple[SubmodularInstance, int]
 
 
 def cmd_submodular_verify(args) -> list[str]:
+    # the theory lab is imported only by the commands that run it
+    from .submodular import (
+        GREEDY_RATIO,
+        NoisyOracle,
+        brute_force_opt,
+        greedy,
+        robust_greedy,
+        robust_greedy_floor,
+    )
+
     rng = np.random.default_rng(args.seed)
     violations = 0
     worst_ratio = 1.0
@@ -276,6 +292,8 @@ def cmd_submodular_verify(args) -> list[str]:
 
 
 def cmd_regress(args) -> list[str]:
+    from .regression import newton_solve, random_problem
+
     problem = random_problem(n=args.n, d=args.d, seed=args.seed)
     try:
         result = newton_solve(problem, tol=args.tol)

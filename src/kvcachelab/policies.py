@@ -35,15 +35,29 @@ there, so every kind run at budget n is the full-attention baseline.
     Memoryless heavy-hitter: evicts the cached token with the smallest
     current-step weight.
 
-:func:`run_policy` keeps the decode state in slot-aligned arrays, the
+:func:`run_policies` runs any number of cells (configs) over one trace in
+one decode pass, and :func:`run_policy` is its one-cell call, so there is
+one engine loop. The decode state lives in slot-aligned arrays, the
 library's only cache model: ``slot_keys`` (the k cached keys, then the
 incoming key in row k), ``slot_tok`` (the token in each slot) and
 ``slot_score`` (each slot's accumulated score, a token starting at its own
-weight). A step's attention is one gemv over ``slot_keys``; an admitted
-token overwrites its victim's slot in place, as a KV cache does, so a step
-never scans or gathers by token. While the cache fills, slot s holds token
-s + 1 and the products read the trace's keys directly; the slot matrix
-exists only when the budget is below n.
+weight). An admitted token overwrites its victim's slot in place, as a KV
+cache does, so a step never scans or gathers by token.
+
+The fill is shared. While a cache fills, slot s holds token s + 1 whatever
+the policy, and the products read the trace's keys directly, so the fill
+runs once, up to the largest cache size k = min(budget, n). A cell at size
+k starts from the fill's scores after step k and shares the fill's
+(immutable) events; a cell at budget n or more is done there. The cells
+that share a k < n are lanes that step in lockstep, one budget group at a
+time: lane l's cache is row l of ``(lanes, k + 1, d)`` keys and
+``(lanes, k + 1)`` tokens and scores. A step is one stacked matmul, which
+runs each lane's own gemv, and one softmax along the rows with the
+reference arithmetic; ``decide`` and the admission then run per lane on
+its row views. A single (lanes * (k + 1), d) gemv would be faster but
+rounds differently, so a cell's record would depend on its group; with
+the stacked product every record is bit for bit the one its config gives
+alone.
 
 :func:`decide` takes its arrays in slot order, with the incoming token
 last, and returns the victim's index into them (the last index refuses the
@@ -61,7 +75,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -241,53 +255,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
-    """Replay the budget-constrained generative process over a trace.
-
-    Each step computes the restricted attention over the cached set plus
-    the incoming token, folds it into the accumulated scores and lets the
-    policy resolve the eviction once the cache is at budget, recording when
-    each token leaves. Deterministic: equal (trace, policy) inputs give
-    equal records.
-    """
-    n, keys, queries = trace.n, trace.k, trace.q
-    k = min(policy.budget, n)
-    # k cache slots, then slot k for the incoming token
-    slot_tok = np.arange(1, k + 2)
-    slot_score = np.zeros(k + 1)
-    events: list[EvictionEvent] = []
-    evicted_at = np.full(n, n + 1, dtype=np.int64)
-
-    # filling: step i writes token i into slot i - 1, so the cached keys are keys[:i]
-    for i in range(1, k + 1):
-        slot_score[:i] += _softmax(keys[:i] @ queries[i - 1])
-        events.append(EvictionEvent(step=i, evicted=None, admitted=i, slot=i - 1))
-
-    if k < n:
-        slot_keys = np.empty((k + 1, trace.d))
-        slot_keys[:k] = keys[:k]
-        # admission order; h2o never evicts its window, so the window is the last r
-        admitted = list(range(1, k + 1))
-        r = policy.recent_budget
-        for i in range(k + 1, n + 1):
-            slot_keys[k] = keys[i - 1]
-            slot_tok[k] = i
-            slot_score[k] = 0.0
-            weights = _softmax(slot_keys @ queries[i - 1])
-            slot_score += weights
-            v = decide(policy, slot_tok, weights, slot_score, admitted[-r] if r else i)
-            victim = int(slot_tok[v])
-            evicted_at[victim - 1] = i
-            slot = None
-            if v < k:  # the incoming token takes the victim's slot
-                slot_keys[v] = slot_keys[k]
-                slot_tok[v] = i
-                slot_score[v] = slot_score[k]
-                admitted.append(i)
-                slot = v
-            events.append(EvictionEvent(step=i, evicted=victim, admitted=i, slot=slot))
-
-    order = np.argsort(slot_tok[:k])
+def _record(policy, n, events, slot_tok, slot_score, evicted_at) -> SimulationRecord:
+    """A run's record, with its final cache read off the slots in token order."""
+    order = np.argsort(slot_tok)
     final = slot_tok[order]
     return SimulationRecord(
         config=policy,
@@ -297,3 +267,108 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
         final_scores=dict(zip(final.tolist(), slot_score[order].tolist())),
         evicted_at=evicted_at,
     )
+
+
+def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
+    """Replay the budget-constrained generative process over a trace.
+
+    Each step computes the restricted attention over the cached set plus
+    the incoming token, folds it into the accumulated scores and lets the
+    policy resolve the eviction once the cache is at budget, recording when
+    each token leaves. Deterministic: equal (trace, policy) inputs give
+    equal records. The one-cell call of :func:`run_policies`.
+    """
+    return run_policies(trace, [policy])[0]
+
+
+def run_policies(trace: AttentionTrace, configs: Iterable[PolicyConfig]) -> list[SimulationRecord]:
+    """Run every config over one trace in one decode pass, in input order.
+
+    Each record equals what a run of its config alone gives, bit for bit.
+    The fill is shared: it runs once, and a cell at cache size k starts
+    from its state after step k (cells at budget >= n end there). The
+    cells that share a k then step in lockstep, one budget group at a
+    time (see the module docstring).
+    """
+    n, keys, queries = trace.n, trace.k, trace.q
+    configs = list(configs)
+    sizes = [min(p.budget, n) for p in configs]
+    records: list[SimulationRecord | None] = [None] * len(configs)
+    fill_score = np.zeros(max(sizes, default=0) + 1)
+    fill_events: list[EvictionEvent] = []
+    for k in sorted(set(sizes)):
+        # filling: step i writes token i into slot i - 1, so the cached keys are keys[:i]
+        for i in range(len(fill_events) + 1, k + 1):
+            fill_score[:i] += _softmax(keys[:i] @ queries[i - 1])
+            fill_events.append(EvictionEvent(step=i, evicted=None, admitted=i, slot=i - 1))
+        lanes = [c for c, size in enumerate(sizes) if size == k]
+        if k == n:
+            for c in lanes:
+                records[c] = _record(configs[c], n, fill_events[:k], np.arange(1, k + 1),
+                                     fill_score[:k], np.full(n, n + 1, dtype=np.int64))
+        else:
+            group = _lockstep(trace, [configs[c] for c in lanes], fill_score[:k + 1], fill_events)
+            for c, record in zip(lanes, group):
+                records[c] = record
+    return records
+
+
+def _lockstep(
+    trace: AttentionTrace, configs: list[PolicyConfig], filled: np.ndarray, fill_events: list[EvictionEvent]
+) -> list[SimulationRecord]:
+    """Decode steps k + 1..n for cells at one cache size k < n, in lockstep.
+
+    ``filled`` holds the accumulated scores after step k of the fill (the
+    incoming slot k at 0). Lane l's cache is row l of stacked slot arrays;
+    each step is one stacked product and one row-wise softmax over all
+    lanes, then each lane decides and admits on its own rows.
+    """
+    n, keys, queries = trace.n, trace.k, trace.q
+    k = filled.size - 1
+    # k cache slots, then slot k for the incoming token
+    slot_keys = np.empty((len(configs), k + 1, trace.d))
+    slot_keys[:, :k] = keys[:k]
+    slot_tok = np.tile(np.arange(1, k + 2), (len(configs), 1))
+    slot_score = np.tile(filled, (len(configs), 1))
+    # the incoming slot of every lane, and the buffers of a step's softmax
+    key_in, tok_in, score_in = slot_keys[:, k], slot_tok[:, k], slot_score[:, k]
+    weights = np.empty(slot_score.shape)
+    row_max = np.empty((len(configs), 1))
+    row_sum = np.empty((len(configs), 1))
+    # per lane: its config, row views, admission order, events and evictions;
+    # h2o never evicts its window, so the window is the last r admitted
+    lanes = [
+        (p, slot_keys[l], slot_tok[l], weights[l], slot_score[l], list(range(1, k + 1)),
+         p.recent_budget, fill_events[:k], np.full(n, n + 1, dtype=np.int64))
+        for l, p in enumerate(configs)
+    ]
+    for i in range(k + 1, n + 1):
+        key_in[...] = keys[i - 1]
+        tok_in.fill(i)
+        score_in.fill(0.0)
+        # a stacked product runs the single-lane gemv per lane; one flattened
+        # (lanes * (k + 1), d) gemv would round differently
+        np.matmul(slot_keys, queries[i - 1], out=weights)
+        # the softmax of _softmax, row by row
+        np.maximum.reduce(weights, axis=1, out=row_max, keepdims=True)
+        weights -= row_max
+        np.exp(weights, out=weights)
+        np.add.reduce(weights, axis=1, out=row_sum, keepdims=True)
+        weights /= row_sum
+        slot_score += weights
+        for policy, lane_keys, tok, w, score, admitted, r, events, evicted_at in lanes:
+            v = decide(policy, tok, w, score, admitted[-r] if r else i)
+            victim = int(tok[v])
+            evicted_at[victim - 1] = i
+            slot = None
+            if v < k:  # the incoming token takes the victim's slot
+                lane_keys[v] = lane_keys[k]
+                tok[v] = i
+                score[v] = score[k]
+                admitted.append(i)
+                slot = v
+            events.append(EvictionEvent(step=i, evicted=victim, admitted=i, slot=slot))
+    return [
+        _record(policy, n, events, tok[:k], score[:k], evicted_at)
+        for policy, _, tok, _, score, _, _, events, evicted_at in lanes
+    ]

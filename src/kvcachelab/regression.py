@@ -39,6 +39,18 @@ import numpy as np
 
 from .errors import InvalidSpec, MaxIterationsExceeded, NonFinite
 
+__all__ = [
+    "LossBreakdown",
+    "NewtonResult",
+    "RegressionProblem",
+    "check_hessian_lipschitz",
+    "gradient",
+    "hessian",
+    "loss",
+    "newton_solve",
+    "random_problem",
+]
+
 _LOG_MAX = math.log(np.finfo(np.float64).max)  # ~709.78
 
 

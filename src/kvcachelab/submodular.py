@@ -27,6 +27,19 @@ import numpy as np
 
 from .errors import BadBudget, InvalidSpec, TooLarge
 
+__all__ = [
+    "GREEDY_RATIO",
+    "NoisyOracle",
+    "Selection",
+    "SubmodularInstance",
+    "attention_score_instance",
+    "brute_force_opt",
+    "greedy",
+    "robust_greedy",
+    "robust_greedy_floor",
+    "score_function",
+]
+
 GREEDY_RATIO = 1.0 - 1.0 / math.e
 
 SCORE_FUNCTIONS: dict[str, Callable[[float], float]] = {

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kvcachelab as kl
-from kvcachelab.cli import build_parser, main, resolve_budget
+from kvcachelab.cli import build_parser, main, resolve_budget, write_csv
 from test_trace import MALFORMED_JSON, dominant_key_trace
 
 
@@ -71,6 +71,54 @@ def test_simulate_summary_counts_refusals(tmp_path):
         refusals[policy] = summary["refusals"]
     assert refusals["h2o"] > 0
     assert refusals["local"] == 0
+
+
+def test_local_evicts_every_token_at_age_budget(tmp_path):
+    trace = _gen(tmp_path)
+    for budget in (3, 10):
+        out = tmp_path / f"local-{budget}"
+        assert run("simulate", "--trace", trace, "--policy", "local", "--budget", budget,
+                   "--out-dir", out) == 0
+        # a window of k tokens evicts token t at step t + k
+        rows = [r for r in _read_csv(out / "simulate.steps.csv") if r["evicted"]]
+        assert len(rows) == 48 - budget
+        assert all(int(r["i"]) - int(r["evicted"]) == budget for r in rows)
+        summary = json.loads((out / "simulate.summary.json").read_text())
+        assert summary["mean_eviction_age"] == budget
+
+
+def test_mean_eviction_age_is_null_without_evicted_cached_tokens(tmp_path):
+    trace = _gen(tmp_path)
+    # no eviction at a full budget; only refusals when h2o's window is the whole cache
+    for policy, budget, frac in (("local", "100%", "0.5"), ("h2o", "8", "1.0")):
+        out = tmp_path / policy
+        assert run("simulate", "--trace", trace, "--policy", policy, "--budget", budget,
+                   "--recent-frac", frac, "--out-dir", out) == 0
+        summary = json.loads((out / "simulate.summary.json").read_text())
+        assert summary["refusals"] == (40 if policy == "h2o" else 0)
+        assert summary["mean_eviction_age"] is None
+
+
+def _reference_cell(value) -> str:
+    """The CSV cell formatting that ``write_csv`` must keep byte for byte."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def test_write_csv_cells_keep_their_formatting(tmp_path):
+    floats = [0.1, 1 / 3, 1e-300, 5e-324, 1e16, 123456789012345680.0, -0.0, 2.0, float("inf"), float("nan")]
+    with np.errstate(over="ignore"):  # 1e16 overflows float16
+        rows = [
+            [x, np.float64(x), np.float32(x), np.float16(x), int(x) if np.isfinite(x) else 7,
+             "", np.int64(3), True]
+            for x in floats
+        ]
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["py", "f64", "f32", "f16", "int", "empty", "i64", "bool"], rows)
+    want = ["py,f64,f32,f16,int,empty,i64,bool"]
+    want.extend(",".join(_reference_cell(c) for c in row) for row in rows)
+    assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
 
 def test_simulate_missing_trace_is_config_error(tmp_path):

@@ -1,6 +1,9 @@
 """Static checks over the library's source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,30 @@ def test_every_error_class_is_raised():
         for name in _raised_names(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert sorted(declared - raised) == []
+
+
+def test_cli_import_leaves_the_theory_lab_unloaded():
+    # the decode commands never use the lab, so starting the CLI must not load it
+    code = (
+        "import sys, kvcachelab.cli; "
+        "print(sorted(m for m in sys.modules if m in ('kvcachelab.regression', 'kvcachelab.submodular')))"
+    )
+    src = str(Path(kvcachelab.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_lab_exports_resolve_on_first_use():
+    from kvcachelab import GREEDY_RATIO, newton_solve
+    from kvcachelab.regression import newton_solve as direct
+
+    assert newton_solve is direct
+    assert 0 < GREEDY_RATIO < 1
+    from kvcachelab import regression, submodular
+
+    for lab in (regression, submodular):
+        for name in lab.__all__:
+            assert getattr(kvcachelab, name) is getattr(lab, name)
+    with pytest.raises(AttributeError):
+        kvcachelab.no_such_name

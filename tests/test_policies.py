@@ -407,3 +407,74 @@ def test_engine_matches_reference_at_benchmark_shape(decode_shape_trace, kind, b
     # the decode benchmark's head size and budget: multi-row gemvs over a slot
     # matrix whose order has been permuted by hundreds of swaps
     _assert_matches_reference(decode_shape_trace, kl.PolicyConfig(kind=kind, budget=budget))
+
+
+# --- many cells in one pass ------------------------------------------------------------
+
+def _reference_evicted_at(record):
+    """``evicted_at`` of a reference run, read off its events."""
+    evicted_at = np.full(record.n, record.n + 1, dtype=np.int64)
+    for ev in record.events:
+        if ev.evicted is not None:
+            evicted_at[ev.evicted - 1] = ev.step
+    return evicted_at
+
+
+@st.composite
+def _cell_grids(draw):
+    n = draw(st.integers(1, 60))
+    spec = kl.SyntheticTraceSpec(
+        n=n,
+        # 64: the benchmark's head size, where the gemv kernel blocks its rows
+        d=draw(st.integers(1, 8) | st.just(64)),
+        kind=draw(st.sampled_from(TRACE_KINDS)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    # a few budgets, so that cells share a cache size; below, at and above n
+    budgets = st.sampled_from(sorted({1, 2, max(1, n // 3), max(1, n - 1), n, n + 3}))
+    configs = draw(st.lists(
+        st.builds(
+            kl.PolicyConfig,
+            kind=st.sampled_from(kl.POLICY_KINDS),
+            budget=budgets | st.integers(1, n + 2),
+            recent_frac=st.sampled_from([0.0, 0.5, 1.0]),
+            sink=st.integers(0, 6),
+            stride=st.integers(1, 6),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    # repeat some configs: duplicate cells must not share state
+    picks = draw(st.lists(st.integers(0, len(configs) - 1), min_size=1, max_size=6))
+    return spec, [configs[j] for j in picks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cell_grids())
+def test_run_policies_matches_reference_per_cell(grid):
+    spec, configs = grid
+    t = kl.generate_trace(spec)
+    records = kl.run_policies(t, configs)
+    assert [rec.config for rec in records] == configs
+    for cfg, got in zip(configs, records):
+        want = ref.run_policy(t, cfg)
+        assert got.events == want.events
+        assert got.final_tracked == want.final_tracked
+        assert got.final_scores == want.final_scores
+        np.testing.assert_array_equal(got.evicted_at, _reference_evicted_at(want))
+
+
+def test_run_policies_of_benchmark_grid_equal_single_runs(decode_shape_trace):
+    # every kind at each budget of a compare grid: lanes of seven per cache size
+    t = decode_shape_trace
+    configs = [kl.PolicyConfig(kind=kind, budget=b) for b in (24, 120, 360, t.n) for kind in kl.POLICY_KINDS]
+    for cfg, got in zip(configs, kl.run_policies(t, configs)):
+        want = kl.run_policy(t, cfg)
+        assert got.events == want.events
+        assert got.final_scores == want.final_scores
+        np.testing.assert_array_equal(got.evicted_at, want.evicted_at)
+
+
+def test_run_policies_of_no_configs_is_empty():
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=8, d=2, seed=1))
+    assert kl.run_policies(t, []) == []
