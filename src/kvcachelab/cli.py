@@ -88,15 +88,27 @@ def write_manifest(out_dir: Path, command: str, config: dict, inputs: list[str],
     return path
 
 
+def _floor_percent(text: str, n: int) -> int:
+    """``floor(p * n / 100)`` for the decimal ``p`` in ``text``, in integers.
+
+    ``text`` must be a string that ``float`` accepts. Float arithmetic
+    would not floor exactly: ``0.29 * 100`` is 28.999999999999996.
+    """
+    mantissa, _, exp = text.strip().replace("_", "").lower().partition("e")
+    whole, _, frac = mantissa.lstrip("+").partition(".")
+    shift = int(exp or 0) - len(frac)  # p == int(whole + frac) * 10**shift
+    num = int(whole + frac) * n
+    return num * 10**shift // 100 if shift >= 0 else num // (100 * 10**-shift)
+
+
 def resolve_budget(spec: str, n: int) -> int:
-    """Absolute count, or percentage of n (floored, at least 2)."""
+    """Absolute count, or percentage of n (floored exactly, at least 2)."""
     spec = str(spec).strip()
     try:
         if spec.endswith("%"):
-            frac = float(spec[:-1]) / 100.0
-            if not 0.0 < frac <= 1.0:
+            if not 0.0 < float(spec[:-1]) <= 100.0:
                 raise ValueError
-            return max(2, int(frac * n))
+            return max(2, _floor_percent(spec[:-1], n))
         value = int(spec)
     except ValueError:
         raise UsageError(f"--budget {spec!r} is neither an integer nor a percentage") from None

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -112,7 +113,7 @@ class SyntheticTraceSpec:
             raise InvalidSpec(f"unknown trace kind {self.kind!r}; choose from {TRACE_KINDS}")
         if self.n < 1 or self.d < 1:
             raise InvalidSpec(f"sizes must be positive, got n={self.n}, d={self.d}")
-        if self.power_exponent <= 0:
+        if not self.power_exponent > 0:  # also rejects NaN
             raise InvalidSpec("power_exponent must be > 0")
 
 
@@ -177,9 +178,13 @@ def save_trace(trace: AttentionTrace, path, fmt: str | None = None) -> None:
     if fmt == "json":
         # json emits floats via repr (shortest round-trip), so matrices
         # survive bit-exactly; traces never hold NaN/Inf by invariant.
+        # One dumps and one write: json.dump streams the document through
+        # the pure-Python encoder, a generator frame and a write per token,
+        # while dumps runs the C encoder and writes the same bytes.
         doc = {"n": trace.n, "d": trace.d, "Q": trace.q.tolist(), "K": trace.k.tolist()}
+        text = json.dumps(doc)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            fh.write(text)
     elif fmt == "binary":
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, trace.n, trace.d))
@@ -194,11 +199,14 @@ _JSON_NUMBERS = {int, float}
 
 
 def _json_block(doc: dict, name: str, path: str) -> np.ndarray:
-    rows = doc[name]
+    # pop: the block's Python lists are freed once it is an array
+    rows = doc.pop(name)
     # a string row would otherwise be read character by character, and a
     # string or boolean entry converted to a float
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and set(map(type, row)) <= _JSON_NUMBERS for row in rows
+    if not (
+        isinstance(rows, list)
+        and all(isinstance(row, list) for row in rows)
+        and set(map(type, chain.from_iterable(rows))) <= _JSON_NUMBERS
     ):
         raise MalformedTrace(f"{path}: {name} must be a list of rows, each a list of numbers")
     try:
@@ -207,12 +215,7 @@ def _json_block(doc: dict, name: str, path: str) -> np.ndarray:
         raise MalformedTrace(f"{path}: {name} has an entry beyond float64's range") from None
 
 
-def _load_json_trace(raw: bytes, path: str) -> AttentionTrace:
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the parser's stack
-        raise MalformedTrace(f"{path}: neither KVT1 binary nor JSON ({exc})") from None
+def _json_trace(doc, path: str) -> AttentionTrace:
     try:
         n, d = doc["n"], doc["d"]
         if type(n) is not int or type(d) is not int:
@@ -238,7 +241,17 @@ def load_trace(path) -> AttentionTrace:
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.startswith(_MAGIC):
-        return _load_json_trace(raw, path)
+        # The bytes, the text and the parsed lists are each about the file's
+        # size or more, so each is dropped as soon as the next one exists.
+        try:
+            text = raw.decode("utf-8")
+            del raw
+            doc = json.loads(text)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the parser's stack
+            raise MalformedTrace(f"{path}: neither KVT1 binary nor JSON ({exc})") from None
+        del text
+        return _json_trace(doc, path)
     if len(raw) < _HEADER.size:
         raise MalformedTrace(f"{path}: truncated header", byte_offset=len(raw))
     _, n, d = _HEADER.unpack_from(raw)

@@ -35,6 +35,12 @@ def test_budget_flag_forms():
     assert resolve_budget("20%", 100) == 20
     assert resolve_budget("20%", 256) == 51
     assert resolve_budget("1%", 50) == 2  # floored, minimum 2
+    # floored exactly, where float arithmetic lands just below the integer
+    for n in (100, 200):
+        for pct in (29, 57, 58):
+            assert resolve_budget(f"{pct}%", n) == pct * n // 100
+    assert resolve_budget("0.29%", 10000) == 29
+    assert resolve_budget("12.5%", 80) == 10
     with pytest.raises(Exception):
         resolve_budget("zap", 100)
 
@@ -298,10 +304,11 @@ def test_rerun_bad_manifest_is_config_error(tmp_path, manifest):
     ("submodular-verify", "--instances", "2", "--eps", "inf"),
     ("regress", "--tol", "nan"),
     ("regress", "--tol", "-1"),
+    ("gen-trace", "--n", "8", "--d", "4", "--kind", "power-law-keys", "--exponent", "nan"),
 ], ids=["n0", "negative-exponent", "n-below-d", "n0-d0", "d0", "negative-eps", "full-below-n",
         "compare-full", "gen-trace-negative-seed", "submodular-negative-seed",
         "regress-negative-seed", "negative-instances", "nan-eps", "inf-eps", "nan-tol",
-        "negative-tol"])
+        "negative-tol", "nan-exponent"])
 def test_library_spec_errors_are_config_errors(tmp_path, argv):
     if argv[0] == "gen-trace":
         argv += ("--out", tmp_path / "t.kvt")

@@ -1,5 +1,7 @@
 """Trace construction, file round-trips, and synthetic generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,9 @@ MALFORMED_JSON = {
     "string-n": '{"n": "1", "d": 1, "Q": [[0.0]], "K": [[0.0]]}',
     "bool-n": '{"n": true, "d": 1, "Q": [[0.0]], "K": [[0.0]]}',
     "float-d": '{"n": 1, "d": 1.7, "Q": [[0.0]], "K": [[0.0]]}',
+    # every row must be a list
+    "scalar-row": '{"n": 2, "d": 1, "Q": [[0.0], 0.0], "K": [[0.0], [0.0]]}',
+    "object-row": '{"n": 1, "d": 1, "Q": [{"a": 0.0}], "K": [[0.0]]}',
 }
 
 
@@ -73,6 +78,30 @@ def test_malformed_json_is_malformed_trace(tmp_path, text):
     path.write_text(text)
     with pytest.raises(MalformedTrace):
         kl.load_trace(path)
+
+
+def test_json_file_bytes_are_pinned(tmp_path):
+    q = [[0.1, -0.0], [5e-324, 1.7976931348623157e308]]
+    t = kl.AttentionTrace(q=np.array(q), k=np.array(q[::-1]))
+    path = tmp_path / "t.json"
+    kl.save_trace(t, path)
+    assert path.read_text(encoding="utf-8") == (
+        '{"n": 2, "d": 2, "Q": [[0.1, -0.0], [5e-324, 1.7976931348623157e+308]], '
+        '"K": [[5e-324, 1.7976931348623157e+308], [0.1, -0.0]]}'
+    )
+    assert kl.load_trace(path) == t
+
+
+def test_json_load_peak_memory_stays_below_three_file_sizes(tmp_path):
+    path = tmp_path / "t.json"
+    kl.save_trace(kl.generate_trace(kl.SyntheticTraceSpec(n=256, d=16, seed=3)), path)
+    tracemalloc.start()
+    try:
+        kl.load_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * path.stat().st_size
 
 
 def test_every_truncation_of_a_binary_file_is_malformed(tmp_path):
