@@ -24,12 +24,10 @@ from .metrics import (
     DeviationReport,
     GoodDistributionCheck,
     HeavyHitterProfile,
-    MemoryFootprint,
     QuantizationSpec,
     SparsityReport,
     check_good_distribution,
     heavy_hitter_profile,
-    memory_footprint,
     retained_mass,
     trace_sparsity,
 )

@@ -42,7 +42,6 @@ from .errors import InvalidSpec, KVCacheLabError, MalformedTrace, MaxIterationsE
 from .metrics import (
     deviation_reports,
     heavy_hitter_profile,
-    memory_footprint,
     retained_mass,
     trace_sparsity,
 )
@@ -201,8 +200,7 @@ def cmd_compare(args) -> list[str]:
     schedules = [record.evicted_at for record in run_policies(trace, [policy for _, policy in cells])]
     reports = deviation_reports(trace, schedules)
     rows = [
-        [policy.kind, b, policy.budget, report.mean_retained, report.mean_tv,
-         memory_footprint(policy, trace.n, trace.d).ratio]
+        [policy.kind, b, policy.budget, report.mean_retained, report.mean_tv, policy.budget / trace.n]
         for (b, policy), report in zip(cells, reports)
     ]
     out = _ensure_out_dir(args)

@@ -18,8 +18,8 @@ the exact attention map, which :func:`deviation_reports` shares between any
 number of runs over the same trace; :func:`trace_sparsity` reads the same
 blocks.
 
-:func:`memory_footprint` is arithmetic over the budget, in which a
-:class:`QuantizationSpec` prices each cached key entry at ``bits / 8`` bytes.
+:class:`QuantizationSpec` is the per-slot key quantizer that a quantized
+cache would round its keys through.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .attention import exact_blocks
 from .errors import DimensionMismatch, EmptyRow, InconsistentState, InvalidSpec, TraceMismatch
-from .policies import PolicyConfig, SimulationRecord
+from .policies import SimulationRecord
 from .trace import AttentionTrace
 
 
@@ -266,7 +266,7 @@ def check_good_distribution(
     )
 
 
-# --- memory accounting ---------------------------------------------------------------
+# --- key quantization ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class QuantizationSpec:
@@ -290,40 +290,3 @@ class QuantizationSpec:
             return x.copy()
         q = np.clip(np.rint(x / scale), -self.levels, self.levels)
         return q * scale
-
-
-@dataclass(frozen=True)
-class MemoryFootprint:
-    """Cache bytes for a policy versus keeping everything."""
-
-    slot_bytes: int
-    score_bytes: int
-    full_bytes: int
-    ratio: float
-
-    @property
-    def total_bytes(self) -> int:
-        return self.slot_bytes + self.score_bytes
-
-
-def memory_footprint(
-    policy: PolicyConfig,
-    n: int,
-    d: int,
-    bytes_per_scalar: int = 8,
-    quantization: QuantizationSpec | None = None,
-) -> MemoryFootprint:
-    """Arithmetic cache accounting; ratio is budget/n."""
-    if n < 1 or d < 1 or bytes_per_scalar < 1:
-        raise InvalidSpec("sizes must be positive")
-    k = policy.budget
-    entry_bytes = quantization.bits / 8.0 if quantization is not None else float(bytes_per_scalar)
-    slot_bytes = int(k * d * entry_bytes)
-    score_bytes = k * bytes_per_scalar if policy.kind in ("h2o", "h2_only") else 0
-    full_bytes = n * d * bytes_per_scalar
-    return MemoryFootprint(
-        slot_bytes=slot_bytes,
-        score_bytes=score_bytes,
-        full_bytes=full_bytes,
-        ratio=k / n,
-    )

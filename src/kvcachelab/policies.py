@@ -13,17 +13,20 @@ there, so every kind run at budget n is the full-attention baseline.
 ``local``
     Keeps only the most recent tokens: always evicts the oldest cached one.
 ``h2o``
-    Heavy-hitter policy. The last ``recent_budget`` admitted tokens are a
-    shielded recency window (tokens are admitted in order and h2o never
-    evicts a window member, so these are the highest cached tokens);
-    among the cached tokens below the window plus the incoming token, it
-    evicts the one whose removal maximizes a score function h over the
-    survivors. Because h is a non-decreasing transform of the summed
-    accumulated scores, that argmax is the candidate with the minimum
-    accumulated score whatever h is; decide() uses the cheap form, and the
-    test suite pins the equivalence against the literal argmax-over-removals.
+    Heavy-hitter policy. With r = ``recent_budget``, step i's recency
+    window is the positions i - r + 1..i, which h2o never evicts; so the
+    incoming token is always admitted when r >= 1, and the candidates are
+    the attended tokens t <= i - r: the heavy set plus the token that just
+    left the window. Among them it evicts the one whose removal maximizes
+    a score function h over the survivors. Because h is a non-decreasing
+    transform of the summed accumulated scores, that argmax is the
+    candidate with the minimum accumulated score whatever h is; decide()
+    uses the cheap form, and the test suite pins the equivalence against
+    the literal argmax-over-removals. At r = 0 it is ``h2_only``; at r = k
+    it evicts token i - k, as ``local`` does.
 ``h2_only``
-    Minimum accumulated score with no recency shield.
+    Minimum accumulated score with no recency shield: the greedy over the
+    attended set, which may refuse the incoming token.
 ``sink_local``
     Never evicts the first ``sink`` tokens; otherwise evicts the oldest.
 ``sparse_strided`` / ``sparse_fixed``
@@ -123,8 +126,8 @@ class PolicyConfig:
     """Which policy to run and its knobs.
 
     ``recent_frac`` splits the h2o budget: the last
-    floor(recent_frac * budget) admitted tokens are the recency window and
-    the rest hold heavy hitters.
+    r = floor(recent_frac * budget) positions are the recency window and
+    the rest of the cache holds heavy hitters.
     """
 
     kind: str
@@ -171,18 +174,17 @@ def _argmin_lowest_token(values: np.ndarray, tokens: np.ndarray) -> int:
     return int(ties[tokens[ties].argmin()])
 
 
-def decide(policy: PolicyConfig, tokens, weights, scores, window_low: int) -> int:
+def decide(policy: PolicyConfig, tokens, weights, scores) -> int:
     """Pick the eviction victim for a step on a cache at budget.
 
     ``tokens`` is the attended set in slot order: the cached tokens, then
-    the incoming token last, which is the highest. ``weights`` are the
+    the incoming token i last, which is the highest. ``weights`` are the
     step's softmax weights over ``tokens``; ``scores`` their accumulated
     scores with this step's weights already added (so the incoming token
-    carries its initial score). ``window_low`` is the lowest token of h2o's
-    recency window, the incoming token when the window is empty; other
-    kinds ignore it. Returns the victim's index into ``tokens``, the last
-    index being a refusal of the incoming token. The victim does not depend
-    on the slot order: every tie goes to the lowest token.
+    carries its initial score). h2o's candidates are the tokens at most
+    i - ``recent_budget``. Returns the victim's index into ``tokens``, the
+    last index being a refusal of the incoming token. The victim does not
+    depend on the slot order: every tie goes to the lowest token.
     """
     kind = policy.kind
     tokens = np.asarray(tokens)
@@ -204,13 +206,10 @@ def decide(policy: PolicyConfig, tokens, weights, scores, window_low: int) -> in
     scores = np.asarray(scores)
     if scores.shape != tokens.shape:
         raise InconsistentState(f"{scores.size} accumulated scores for {tokens.size} candidates")
-    if kind == "h2_only":
-        return _argmin_lowest_token(scores, tokens)
-    if kind == "h2o":
-        # the candidates: the cached tokens below the window, then the incoming token
-        candidates = np.where(tokens < window_low, scores, np.inf)
-        candidates[-1] = scores[-1]
-        return _argmin_lowest_token(candidates, tokens)
+    if kind in ("h2o", "h2_only"):
+        # h2o shields the window i - r + 1..i; h2_only has none
+        r = policy.recent_budget if kind == "h2o" else 0
+        return _argmin_lowest_token(np.where(tokens <= incoming - r, scores, np.inf), tokens)
     raise InvalidSpec(f"unknown policy {kind!r}")
 
 
@@ -230,7 +229,6 @@ class SimulationRecord:
     config: PolicyConfig
     n: int
     events: list[EvictionEvent]
-    final_tracked: frozenset[int]
     final_scores: dict[int, float]
     evicted_at: np.ndarray
 
@@ -263,7 +261,6 @@ def _record(policy, n, events, slot_tok, slot_score, evicted_at) -> SimulationRe
         config=policy,
         n=n,
         events=events,
-        final_tracked=frozenset(final.tolist()),
         final_scores=dict(zip(final.tolist(), slot_score[order].tolist())),
         evicted_at=evicted_at,
     )
@@ -335,11 +332,10 @@ def _lockstep(
     weights = np.empty(slot_score.shape)
     row_max = np.empty((len(configs), 1))
     row_sum = np.empty((len(configs), 1))
-    # per lane: its config, row views, admission order, events and evictions;
-    # h2o never evicts its window, so the window is the last r admitted
+    # per lane: its config, row views, events and evictions
     lanes = [
-        (p, slot_keys[l], slot_tok[l], weights[l], slot_score[l], list(range(1, k + 1)),
-         p.recent_budget, fill_events[:k], np.full(n, n + 1, dtype=np.int64))
+        (p, slot_keys[l], slot_tok[l], weights[l], slot_score[l], fill_events[:k],
+         np.full(n, n + 1, dtype=np.int64))
         for l, p in enumerate(configs)
     ]
     for i in range(k + 1, n + 1):
@@ -356,8 +352,8 @@ def _lockstep(
         np.add.reduce(weights, axis=1, out=row_sum, keepdims=True)
         weights /= row_sum
         slot_score += weights
-        for policy, lane_keys, tok, w, score, admitted, r, events, evicted_at in lanes:
-            v = decide(policy, tok, w, score, admitted[-r] if r else i)
+        for policy, lane_keys, tok, w, score, events, evicted_at in lanes:
+            v = decide(policy, tok, w, score)
             victim = int(tok[v])
             evicted_at[victim - 1] = i
             slot = None
@@ -365,10 +361,9 @@ def _lockstep(
                 lane_keys[v] = lane_keys[k]
                 tok[v] = i
                 score[v] = score[k]
-                admitted.append(i)
                 slot = v
             events.append(EvictionEvent(step=i, evicted=victim, admitted=i, slot=slot))
     return [
         _record(policy, n, events, tok[:k], score[:k], evicted_at)
-        for policy, _, tok, _, score, _, _, events, evicted_at in lanes
+        for policy, _, tok, _, score, events, evicted_at in lanes
     ]

@@ -178,13 +178,16 @@ def save_trace(trace: AttentionTrace, path, fmt: str | None = None) -> None:
     if fmt == "json":
         # json emits floats via repr (shortest round-trip), so matrices
         # survive bit-exactly; traces never hold NaN/Inf by invariant.
-        # One dumps and one write: json.dump streams the document through
-        # the pure-Python encoder, a generator frame and a write per token,
-        # while dumps runs the C encoder and writes the same bytes.
-        doc = {"n": trace.n, "d": trace.d, "Q": trace.q.tolist(), "K": trace.k.tolist()}
-        text = json.dumps(doc)
+        # One dumps per block: json.dump streams the document through the
+        # pure-Python encoder, a generator frame and a write per token, while
+        # dumps runs the C encoder; a hand-written frame around the blocks
+        # writes json.dumps(doc)'s bytes without holding both blocks' text.
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(f'{{"n": {trace.n}, "d": {trace.d}, "Q": ')
+            fh.write(json.dumps(trace.q.tolist()))
+            fh.write(', "K": ')
+            fh.write(json.dumps(trace.k.tolist()))
+            fh.write("}")
     elif fmt == "binary":
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, trace.n, trace.d))

@@ -2,12 +2,13 @@
 
 This is the simulator and deviation metric as they stood before the
 one-pass array engine replaced them in ``kvcachelab.policies``: per-step
-attention dicts over the attended set, score maps, a cache of token slots
-with its recently admitted tokens, and a second pass that replays the
-cached sets to measure retained mass and TV, plus the row-by-row sparsity
-loop. It computes its own attention (:func:`softmax_over`) and keeps its own
-cache (:class:`RefCache`), whose admission-ordered list models h2o's recency
-window independently of the engine's window threshold.
+attention dicts over the attended set, score maps, a cache of token slots,
+and a second pass that replays the cached sets to measure retained mass and
+TV, plus the row-by-row sparsity loop. It computes its own attention
+(:func:`softmax_over`) and keeps its own cache (:class:`RefCache`). h2o's
+recency window is the positions i - r + 1..i, so its candidates at step i
+are the attended tokens t <= i - r, filtered one by one from the cache's
+tokens rather than masked from a slot array.
 
 Each step attends over the cached tokens in slot order, then the incoming
 token, because that is the order of the engine's slot matrix. A softmax sums
@@ -55,19 +56,15 @@ def masked_step(trace: AttentionTrace, i: int, attended) -> dict[int, float]:
 
 
 class RefCache:
-    """Budget-k cache: a token -> slot dict plus the recently admitted tokens.
+    """Budget-k cache: a token -> slot dict.
 
-    ``admitted`` lists the cached tokens in admission order; the last
-    ``recent`` of them are h2o's recency window. A swap writes the incoming
-    token into its victim's slot; a victim equal to the incoming token is a
-    refusal that writes nothing.
+    A swap writes the incoming token into its victim's slot; a victim equal
+    to the incoming token is a refusal that writes nothing.
     """
 
-    def __init__(self, budget: int, recent: int):
+    def __init__(self, budget: int):
         self.budget = budget
-        self.recent = recent
         self.slot_of: dict[int, int] = {}
-        self.admitted: list[int] = []
 
     @property
     def tracked(self) -> frozenset[int]:
@@ -81,26 +78,17 @@ class RefCache:
     def at_budget(self) -> bool:
         return len(self.slot_of) == self.budget
 
-    @property
-    def recent_tokens(self) -> list[int]:
-        return self.admitted[-self.recent:] if self.recent else []
-
     def admit(self, i: int, token: int) -> EvictionEvent:
         slot = len(self.slot_of)
-        self._write(slot, token)
+        self.slot_of[token] = slot
         return EvictionEvent(step=i, evicted=None, admitted=token, slot=slot)
 
     def swap(self, i: int, victim: int, token: int) -> EvictionEvent:
         if victim == token:
             return EvictionEvent(step=i, evicted=victim, admitted=token, slot=None)
         slot = self.slot_of.pop(victim)
-        self.admitted.remove(victim)
-        self._write(slot, token)
-        return EvictionEvent(step=i, evicted=victim, admitted=token, slot=slot)
-
-    def _write(self, slot: int, token: int) -> None:
         self.slot_of[token] = slot
-        self.admitted.append(token)
+        return EvictionEvent(step=i, evicted=victim, admitted=token, slot=slot)
 
 
 def update_scores(scores: dict[int, float], weights: dict[int, float]) -> dict[int, float]:
@@ -146,9 +134,9 @@ def decide(
     if kind == "h2_only":
         return _min_score_token(sorted(tracked) + [i], scores)
     if kind == "h2o":
-        shielded = set(cache.recent_tokens)
-        candidates = sorted(t for t in tracked if t not in shielded) + [i]
-        return _min_score_token(candidates, scores)
+        # the positions i - r + 1..i are the recency window
+        r = policy.recent_budget
+        return _min_score_token([t for t in (*tracked, i) if t <= i - r], scores)
     raise InvalidSpec(f"unknown policy {kind!r}")
 
 
@@ -159,7 +147,6 @@ class ReferenceRecord:
     config: PolicyConfig
     n: int
     events: list[EvictionEvent]
-    final_tracked: frozenset[int]
     final_scores: dict[int, float]
 
     def step_sets(self) -> Iterator[tuple[int, frozenset[int]]]:
@@ -177,7 +164,7 @@ class ReferenceRecord:
 def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> ReferenceRecord:
     """Replay the budget-constrained generative process over a trace."""
     n = trace.n
-    cache = RefCache(budget=policy.budget, recent=policy.recent_budget)
+    cache = RefCache(budget=policy.budget)
     scores: dict[int, float] = {}
     events: list[EvictionEvent] = []
 
@@ -195,7 +182,6 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> ReferenceRecord:
         config=policy,
         n=n,
         events=events,
-        final_tracked=cache.tracked,
         final_scores=scores,
     )
 

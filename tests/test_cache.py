@@ -36,12 +36,12 @@ def test_swap_overwrites_in_place():
             if ev.slot is not None:
                 slot_of[ev.admitted] = ev.slot
         assert sorted(slot_of.values()) == list(range(5))
-        assert set(slot_of) == rec.final_tracked
+        assert set(slot_of) == set(rec.final_scores)
 
 
 def test_swap_refusing_incoming_changes_nothing():
-    # h2o refuses the incoming token once its recency window stops moving
-    rec = _run("h2o", budget=4)
+    # the greedy without a recency window refuses low-scored incoming tokens
+    rec = _run("h2_only", budget=4)
     refused = [ev for ev in rec.events[4:] if ev.evicted == ev.admitted]
     assert refused
     assert all(ev.slot is None for ev in refused)

@@ -11,6 +11,7 @@ import pytest
 
 import kvcachelab as kl
 from kvcachelab.cli import build_parser, main, resolve_budget, write_csv
+from kvcachelab.trace import TRACE_KINDS
 from test_trace import MALFORMED_JSON, dominant_key_trace
 
 
@@ -67,7 +68,7 @@ def test_simulate_full_policy_all_retained(tmp_path):
 def test_simulate_summary_counts_refusals(tmp_path):
     trace = _gen(tmp_path)
     refusals = {}
-    for policy in ("h2o", "local"):
+    for policy in ("h2_only", "local"):
         out = tmp_path / policy
         assert run("simulate", "--trace", trace, "--policy", policy, "--out-dir", out) == 0
         summary = json.loads((out / "simulate.summary.json").read_text())
@@ -75,8 +76,21 @@ def test_simulate_summary_counts_refusals(tmp_path):
         rows = _read_csv(out / "simulate.steps.csv")
         assert summary["refusals"] == sum(r["evicted"] == r["i"] for r in rows)
         refusals[policy] = summary["refusals"]
-    assert refusals["h2o"] > 0
+    assert refusals["h2_only"] > 0
     assert refusals["local"] == 0
+
+
+@pytest.mark.parametrize("kind", TRACE_KINDS)
+def test_h2o_refuses_nothing_with_a_recency_window(tmp_path, kind):
+    # the incoming position is always in a window of r >= 1 positions
+    trace = _gen(tmp_path, kind=kind)
+    for budget, frac in (("20%", "0.5"), ("8", "0.125"), ("8", "1.0")):
+        out = tmp_path / f"h2o-{budget}-{frac}"
+        assert run("simulate", "--trace", trace, "--policy", "h2o", "--budget", budget,
+                   "--recent-frac", frac, "--out-dir", out) == 0
+        summary = json.loads((out / "simulate.summary.json").read_text())
+        assert summary["evictions"] == 48 - resolve_budget(budget, 48)
+        assert summary["refusals"] == 0
 
 
 def test_local_evicts_every_token_at_age_budget(tmp_path):
@@ -94,14 +108,14 @@ def test_local_evicts_every_token_at_age_budget(tmp_path):
 
 
 def test_mean_eviction_age_is_null_without_evicted_cached_tokens(tmp_path):
-    trace = _gen(tmp_path)
-    # no eviction at a full budget; only refusals when h2o's window is the whole cache
-    for policy, budget, frac in (("local", "100%", "0.5"), ("h2o", "8", "1.0")):
+    trace = _gen(tmp_path, kind="uniform-gaussian")
+    # no eviction at a full budget; only refusals where the greedy refuses every incoming token
+    for policy, budget in (("local", "100%"), ("h2_only", "8")):
         out = tmp_path / policy
         assert run("simulate", "--trace", trace, "--policy", policy, "--budget", budget,
-                   "--recent-frac", frac, "--out-dir", out) == 0
+                   "--out-dir", out) == 0
         summary = json.loads((out / "simulate.summary.json").read_text())
-        assert summary["refusals"] == (40 if policy == "h2o" else 0)
+        assert summary["refusals"] == (40 if policy == "h2_only" else 0)
         assert summary["mean_eviction_age"] is None
 
 
@@ -147,6 +161,7 @@ def test_compare_grid_and_full_row_equality(tmp_path):
                "--out-dir", out) == 0
     rows = _read_csv(out / "compare.csv")
     assert len(rows) == 4 * 5  # every policy at every budget of the default grid
+    assert all(float(r["memory_ratio"]) == int(r["budget"]) / 40 for r in rows)
     at_full = [r for r in rows if r["budget_spec"] == "100%"]
     assert [r.pop("policy") for r in at_full] == ["h2o", "local", "sink_local", "topk"]
     # a budget that covers the trace is full attention, whatever the policy

@@ -6,7 +6,7 @@ import pytest
 import kvcachelab as kl
 import reference_engine as ref
 from kvcachelab.errors import DimensionMismatch, InvalidSpec, TraceMismatch
-from kvcachelab.metrics import QuantizationSpec, support_at, trace_sparsity
+from kvcachelab.metrics import support_at, trace_sparsity
 from kvcachelab.trace import TRACE_KINDS
 
 
@@ -170,27 +170,3 @@ def test_good_distribution_dimension_mismatch():
 
 def test_support_at_inclusive():
     assert support_at(np.array([0.5, 0.49]), 0.5) == frozenset({1})
-
-
-# --- memory accounting ---------------------------------------------------------------
-
-def test_memory_ratio_at_fifth_budget():
-    cfg = kl.PolicyConfig(kind="h2o", budget=20)
-    fp = kl.memory_footprint(cfg, n=100, d=64)
-    assert fp.ratio == pytest.approx(0.2)
-    assert fp.slot_bytes == 20 * 64 * 8
-    assert fp.score_bytes == 20 * 8
-
-
-def test_memory_ratio_full():
-    cfg = kl.PolicyConfig(kind="local", budget=100)
-    fp = kl.memory_footprint(cfg, n=100, d=64)
-    assert fp.ratio == pytest.approx(1.0)
-    assert fp.score_bytes == 0
-
-
-def test_quantized_slots_halve():
-    cfg = kl.PolicyConfig(kind="local", budget=32)
-    fp4 = kl.memory_footprint(cfg, n=64, d=16, quantization=QuantizationSpec(4))
-    fp8 = kl.memory_footprint(cfg, n=64, d=16, quantization=QuantizationSpec(8))
-    assert fp4.slot_bytes * 2 == fp8.slot_bytes

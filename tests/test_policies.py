@@ -16,18 +16,12 @@ from kvcachelab.submodular import score_function
 from kvcachelab.trace import TRACE_KINDS
 
 
-def _window_low(cfg, cached, i):
-    """Lowest token of h2o's window when ``cached`` was admitted in token order."""
-    r = cfg.recent_budget
-    return sorted(cached)[-r] if r else i
-
-
 def _decide(cfg, cached, i, scores=None, weights=None):
     """Victim token of array decide on ``cached`` (in slot order) plus incoming ``i``."""
     tokens = list(cached) + [i]
     w = [(weights or {}).get(t, 0.0) for t in tokens]
     s = [(scores or {}).get(t, 0.0) for t in tokens]
-    return tokens[decide(cfg, tokens, w, s, _window_low(cfg, cached, i))]
+    return tokens[decide(cfg, tokens, w, s)]
 
 
 def reference_h2o_victim(candidates, all_members, scores, h):
@@ -63,17 +57,22 @@ def test_first_seen_tokens_initialize_at_their_weight():
 def test_h2o_evicts_lowest_scored_unshielded():
     cfg = kl.PolicyConfig(kind="h2o", budget=4, recent_frac=0.5)
     scores = {1: 0.9, 2: 0.1, 3: 0.5, 4: 0.6, 5: 0.3}
-    # the window is the last recent_budget = 2 cached tokens, {3, 4}
+    # the window is the last recent_budget = 2 positions, {4, 5}
     victim = _decide(cfg, [1, 2, 3, 4], 5, scores=scores)
     assert victim == 2
-    ref_victim = reference_h2o_victim([1, 2, 5], [1, 2, 3, 4, 5], scores, score_function("identity"))
+    ref_victim = reference_h2o_victim([1, 2, 3], [1, 2, 3, 4, 5], scores, score_function("identity"))
     assert victim == ref_victim
 
 
 def test_h2o_can_refuse_incoming():
-    cfg = kl.PolicyConfig(kind="h2o", budget=4, recent_frac=0.5)
+    # only without a window: the incoming position is always in a window r >= 1
     scores = {1: 0.9, 2: 0.8, 3: 0.5, 4: 0.6, 5: 0.05}
-    assert _decide(cfg, [1, 2, 3, 4], 5, scores=scores) == 5
+    no_window = kl.PolicyConfig(kind="h2o", budget=4, recent_frac=0.0)
+    assert _decide(no_window, [1, 2, 3, 4], 5, scores=scores) == 5
+    # with r >= 1 the victim is the lowest-scored token at most 5 - r
+    for frac, victim in ((0.25, 3), (0.5, 3), (0.75, 2), (1.0, 1)):
+        cfg = kl.PolicyConfig(kind="h2o", budget=4, recent_frac=frac)
+        assert _decide(cfg, [1, 2, 3, 4], 5, scores=scores) == victim
 
 
 def test_local_evicts_oldest():
@@ -112,7 +111,7 @@ def test_sparse_patterns_evict_off_pattern():
 def test_h2o_missing_scores_is_inconsistent():
     cfg = kl.PolicyConfig(kind="h2o", budget=2, recent_frac=0.0)
     with pytest.raises(InconsistentState):
-        decide(cfg, [1, 2, 3], [0.0, 0.0, 0.0], [0.5], 3)
+        decide(cfg, [1, 2, 3], [0.0, 0.0, 0.0], [0.5])
 
 
 def test_tied_scores_in_reverse_slot_order_evict_the_lower_token():
@@ -121,17 +120,17 @@ def test_tied_scores_in_reverse_slot_order_evict_the_lower_token():
     scores = [0.2, 0.2, 0.5, 0.9]
     for kind in ("h2_only", "h2o"):
         cfg = kl.PolicyConfig(kind=kind, budget=3, recent_frac=0.0)
-        assert decide(cfg, tokens, [0.0] * 4, scores, 10) == 1
+        assert decide(cfg, tokens, [0.0] * 4, scores) == 1
     topk = kl.PolicyConfig(kind="topk", budget=3)
-    assert decide(topk, tokens, [0.1, 0.1, 0.3, 0.5], [0.0] * 4, 10) == 1
+    assert decide(topk, tokens, [0.1, 0.1, 0.3, 0.5], [0.0] * 4) == 1
     local = kl.PolicyConfig(kind="local", budget=3)
-    assert decide(local, tokens, [0.0] * 4, [0.0] * 4, 10) == 1
+    assert decide(local, tokens, [0.0] * 4, [0.0] * 4) == 1
 
 
 def test_nan_score_is_the_minimum():
     # overflowing logits give NaN weights; argmin's first NaN wins, without a tie search
     cfg = kl.PolicyConfig(kind="h2_only", budget=2)
-    assert decide(cfg, [2, 1, 3], [0.0] * 3, [0.5, np.nan, 0.1], 3) == 1
+    assert decide(cfg, [2, 1, 3], [0.0] * 3, [0.5, np.nan, 0.1]) == 1
 
 
 @st.composite
@@ -156,15 +155,14 @@ def _slot_orders(draw):
 def test_decide_victim_does_not_depend_on_slot_order(case):
     cfg, cached, i, weights, scores, perm = case
     tokens = np.array(cached + [i])
-    low = _window_low(cfg, cached, i)
     victims = []
     for order in (range(len(cached)), perm):
         # permute the cached entries together, keeping the incoming token last
         idx = [*order, len(cached)]
-        v = decide(cfg, tokens[idx], np.array(weights)[idx], np.array(scores)[idx], low)
+        v = decide(cfg, tokens[idx], np.array(weights)[idx], np.array(scores)[idx])
         victims.append(int(tokens[idx][v]))
     # the oracle's decide, on a cache that admitted the tokens in token order
-    cache = ref.RefCache(budget=cfg.budget, recent=cfg.recent_budget)
+    cache = ref.RefCache(budget=cfg.budget)
     for step, t in enumerate(sorted(cached), start=1):
         cache.admit(step, t)
     victims.append(ref.decide(cfg, dict(zip(tokens.tolist(), scores)), cache,
@@ -180,12 +178,11 @@ def test_min_score_equals_literal_argmax_and_h_invariance():
         k = int(rng.integers(2, 9))
         cfg = kl.PolicyConfig(kind="h2o", budget=k, recent_frac=float(rng.uniform(0.0, 1.0)))
         tokens = list(range(1, k + 1))
-        recent = tokens[k - cfg.recent_budget:]
         i = k + 1
         values = rng.uniform(0.001, 10.0, size=k + 1)
         scores = {t: float(values[t - 1]) for t in tokens + [i]}
         victim = _decide(cfg, tokens, i, scores=scores)
-        candidates = [t for t in tokens if t not in recent] + [i]
+        candidates = [t for t in tokens + [i] if t <= i - cfg.recent_budget]
         # the min-score victim is the literal argmax under every monotone h
         for fn in ("identity", "sqrt1p", "log1p"):
             assert victim == reference_h2o_victim(candidates, tokens + [i], scores, score_function(fn))
@@ -221,7 +218,7 @@ def test_oversized_budget_behaves_like_full():
         runs = [kl.run_policy(t, kl.PolicyConfig(kind=kind, budget=budget)) for kind in kl.POLICY_KINDS]
         for rec in runs:
             assert [e.evicted for e in rec.events] == [None] * t.n
-            assert rec.final_tracked == frozenset(range(1, t.n + 1))
+            assert set(rec.final_scores) == set(range(1, t.n + 1))
             assert (rec.evicted_at == t.n + 1).all()
             assert rec.final_scores == runs[0].final_scores
 
@@ -252,17 +249,16 @@ def test_eviction_contract_all_policies_small():
 
 
 def test_h2o_never_evicts_recent_window():
-    t = kl.generate_trace(kl.SyntheticTraceSpec(n=64, d=4, kind="power-law-keys", seed=5))
-    cfg = kl.PolicyConfig(kind="h2o", budget=16, recent_frac=0.5)
-    rec = kl.run_policy(t, cfg)
-    # replay the run on the reference cache, whose admitted list holds the recent window
-    cache = ref.RefCache(budget=16, recent=cfg.recent_budget)
-    for ev in rec.events:
-        if ev.evicted is None:
-            assert cache.admit(ev.step, ev.admitted) == ev
-        else:
-            assert ev.evicted not in cache.recent_tokens
-            assert cache.swap(ev.step, ev.evicted, ev.admitted) == ev
+    for kind in TRACE_KINDS:
+        t = kl.generate_trace(kl.SyntheticTraceSpec(n=64, d=4, kind=kind, seed=5))
+        for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+            cfg = kl.PolicyConfig(kind="h2o", budget=16, recent_frac=frac)
+            r = cfg.recent_budget
+            rec = kl.run_policy(t, cfg)
+            # every victim at step i lies at or below i - r, outside the window i - r + 1..i
+            victims = [(ev.step, ev.evicted) for ev in rec.events if ev.evicted is not None]
+            assert len(victims) == t.n - 16
+            assert all(v <= i - r for i, v in victims)
 
 
 @pytest.mark.parametrize("kind", TRACE_KINDS)
@@ -275,10 +271,22 @@ def test_h2o_window_edges(kind, seed):
     h2_only = kl.run_policy(t, kl.PolicyConfig(kind="h2_only", budget=k))
     assert h2o.events == h2_only.events
     assert h2o.final_scores == h2_only.final_scores
-    # the window is the whole cache: only the incoming token is a candidate
-    rec = kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=k, recent_frac=1.0))
-    assert all(ev.evicted == ev.admitted for ev in rec.events[k:])
-    assert rec.final_tracked == frozenset(range(1, k + 1))
+    # the window is the whole cache: only token i - k, the oldest, is a candidate
+    h2o = kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=k, recent_frac=1.0))
+    local = kl.run_policy(t, kl.PolicyConfig(kind="local", budget=k))
+    assert h2o.events == local.events
+    assert h2o.final_scores == local.final_scores
+
+
+def test_h2o_differs_from_h2_only_on_uniform_trace():
+    # the greedy refuses nearly every token here; the window keeps admitting them
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=200, d=16, kind="uniform-gaussian", seed=1))
+    h2o = kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=40))
+    h2_only = kl.run_policy(t, kl.PolicyConfig(kind="h2_only", budget=40))
+    assert h2o.events != h2_only.events
+    assert set(h2o.final_scores) != set(h2_only.final_scores)
+    assert not [ev for ev in h2o.events if ev.evicted == ev.admitted]
+    assert [ev for ev in h2_only.events if ev.evicted == ev.admitted]
 
 
 def test_determinism():
@@ -354,7 +362,6 @@ def _assert_matches_reference(t, cfg):
     got = kl.run_policy(t, cfg)
     want = ref.run_policy(t, cfg)
     assert got.events == want.events
-    assert got.final_tracked == want.final_tracked
     assert got.final_scores == want.final_scores
     retained, tv = ref.retained_mass(t, want)
     rep = kl.retained_mass(t, got)
@@ -459,7 +466,6 @@ def test_run_policies_matches_reference_per_cell(grid):
     for cfg, got in zip(configs, records):
         want = ref.run_policy(t, cfg)
         assert got.events == want.events
-        assert got.final_tracked == want.final_tracked
         assert got.final_scores == want.final_scores
         np.testing.assert_array_equal(got.evicted_at, _reference_evicted_at(want))
 

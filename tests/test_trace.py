@@ -1,5 +1,6 @@
 """Trace construction, file round-trips, and synthetic generators."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,11 @@ def test_json_file_bytes_are_pinned(tmp_path):
         '"K": [[5e-324, 1.7976931348623157e+308], [0.1, -0.0]]}'
     )
     assert kl.load_trace(path) == t
+    # the hand-written frame around the blocks writes json.dumps's bytes at any shape
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=12, d=3, seed=1))
+    kl.save_trace(t, path)
+    doc = {"n": 12, "d": 3, "Q": t.q.tolist(), "K": t.k.tolist()}
+    assert path.read_text(encoding="utf-8") == json.dumps(doc)
 
 
 def test_json_load_peak_memory_stays_below_three_file_sizes(tmp_path):
