@@ -10,10 +10,9 @@ caching.
 One decode path carries every result: :func:`run_policies` keeps the cache
 in slot-aligned arrays, steps any number of (policy, budget) cells over one
 trace in one pass (:func:`run_policy` is its one-cell call) and records each
-cell's eviction schedule (one event per step, and the step at which each
-token left), and :mod:`kvcachelab.metrics` scores any
-number of schedules against the exact attention map, which
-:func:`exact_blocks` yields in causal row blocks.
+cell's eviction schedule (the step at which each token left the cache), and
+:mod:`kvcachelab.metrics` scores any number of schedules against the exact
+attention map, which :func:`exact_blocks` yields in causal row blocks.
 """
 
 import importlib
@@ -33,11 +32,9 @@ from .metrics import (
 )
 from .policies import (
     POLICY_KINDS,
-    EvictionEvent,
     PolicyConfig,
     SimulationRecord,
     decide,
-    events_to_jsonl,
     run_policies,
     run_policy,
 )

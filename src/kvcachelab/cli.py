@@ -45,7 +45,7 @@ from .metrics import (
     retained_mass,
     trace_sparsity,
 )
-from .policies import POLICY_KINDS, PolicyConfig, run_policies, run_policy
+from .policies import POLICY_KINDS, PolicyConfig, _floor_percent, run_policies, run_policy
 from .trace import TRACE_KINDS, SyntheticTraceSpec, generate_trace, load_trace, save_trace
 
 DEFAULT_BUDGET_GRID = ("4%", "10%", "20%", "60%", "100%")
@@ -85,19 +85,6 @@ def write_manifest(out_dir: Path, command: str, config: dict, inputs: list[str],
     path = out_dir / f"{command}.manifest.json"
     write_json(path, manifest)
     return path
-
-
-def _floor_percent(text: str, n: int) -> int:
-    """``floor(p * n / 100)`` for the decimal ``p`` in ``text``, in integers.
-
-    ``text`` must be a string that ``float`` accepts. Float arithmetic
-    would not floor exactly: ``0.29 * 100`` is 28.999999999999996.
-    """
-    mantissa, _, exp = text.strip().replace("_", "").lower().partition("e")
-    whole, _, frac = mantissa.lstrip("+").partition(".")
-    shift = int(exp or 0) - len(frac)  # p == int(whole + frac) * 10**shift
-    num = int(whole + frac) * n
-    return num * 10**shift // 100 if shift >= 0 else num // (100 * 10**-shift)
 
 
 def resolve_budget(spec: str, n: int) -> int:
@@ -157,10 +144,15 @@ def cmd_simulate(args) -> list[str]:
     record = run_policy(trace, policy)
     report = retained_mass(trace, record)
     out = _ensure_out_dir(args)
+    n, evicted_at = trace.n, record.evicted_at
+    # each step's victim, 0 while the cache fills
+    evicted = evicted_at <= n
+    victim = np.zeros(n + 1, dtype=np.int64)
+    victim[evicted_at[evicted]] = np.flatnonzero(evicted) + 1
     # the cache grows by one token per step until it reaches the budget
     rows = [
-        [ev.step, min(ev.step, budget), "" if ev.evicted is None else ev.evicted, r, tv]
-        for ev, r, tv in zip(record.events, report.retained.tolist(), report.tv.tolist())
+        [i, min(i, budget), v or "", r, tv]
+        for i, v, r, tv in zip(range(1, n + 1), victim[1:].tolist(), report.retained.tolist(), report.tv.tolist())
     ]
     steps_csv = out / "simulate.steps.csv"
     write_csv(steps_csv, ["i", "cache_size", "evicted", "retained_mass", "tv"], rows)
@@ -173,9 +165,9 @@ def cmd_simulate(args) -> list[str]:
             "n": trace.n,
             "mean_retained_mass": report.mean_retained,
             "mean_tv": report.mean_tv,
-            "evictions": sum(1 for ev in record.events if ev.evicted is not None),
+            "evictions": int(np.count_nonzero(evicted)),
             # victims that were the incoming token itself
-            "refusals": sum(1 for ev in record.events if ev.evicted == ev.admitted),
+            "refusals": int(np.count_nonzero(evicted_at == np.arange(1, n + 1))),
             "mean_eviction_age": _mean_eviction_age(record),
         },
     )
@@ -200,7 +192,7 @@ def cmd_compare(args) -> list[str]:
     schedules = [record.evicted_at for record in run_policies(trace, [policy for _, policy in cells])]
     reports = deviation_reports(trace, schedules)
     rows = [
-        [policy.kind, b, policy.budget, report.mean_retained, report.mean_tv, policy.budget / trace.n]
+        [policy.kind, b, policy.budget, report.mean_retained, report.mean_tv, min(policy.budget, trace.n) / trace.n]
         for (b, policy), report in zip(cells, reports)
     ]
     out = _ensure_out_dir(args)

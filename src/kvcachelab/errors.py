@@ -37,13 +37,18 @@ class MalformedTrace(KVCacheLabError):
 # --- policies ---------------------------------------------------------------
 
 class InconsistentState(KVCacheLabError):
-    """Policy inputs disagree (scores missing for a tracked token, etc.)."""
+    """Inputs that contradict each other or an invariant.
+
+    ``policies.decide`` raises it on an empty cache or on scores that do not
+    match the tokens one for one; ``metrics.check_good_distribution`` when
+    its aggregate verdicts contradict the per-sample ones.
+    """
 
 
 # --- metrics ------------------------------------------------------------------
 
 class EmptyRow(KVCacheLabError):
-    """A sparsity computation received an empty weight vector."""
+    """``metrics.heavy_hitter_profile`` received no accumulated scores."""
 
 
 class TraceMismatch(KVCacheLabError):

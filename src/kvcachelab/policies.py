@@ -50,35 +50,33 @@ cache does, so a step never scans or gathers by token.
 The fill is shared. While a cache fills, slot s holds token s + 1 whatever
 the policy, and the products read the trace's keys directly, so the fill
 runs once, up to the largest cache size k = min(budget, n). A cell at size
-k starts from the fill's scores after step k and shares the fill's
-(immutable) events; a cell at budget n or more is done there. The cells
-that share a k < n are lanes that step in lockstep, one budget group at a
-time: lane l's cache is row l of ``(lanes, k + 1, d)`` keys and
-``(lanes, k + 1)`` tokens and scores. A step is one stacked matmul, which
-runs each lane's own gemv, and one softmax along the rows with the
-reference arithmetic; ``decide`` and the admission then run per lane on
-its row views. A single (lanes * (k + 1), d) gemv would be faster but
-rounds differently, so a cell's record would depend on its group; with
-the stacked product every record is bit for bit the one its config gives
-alone.
+k starts from the fill's scores after step k; a cell at budget n or more
+is done there. The cells that share a k < n are lanes that step in
+lockstep, one budget group at a time: lane l's cache is row l of
+``(lanes, k + 1, d)`` keys and ``(lanes, k + 1)`` tokens and scores. A
+step is one stacked matmul, which runs each lane's own gemv, and one
+softmax along the rows with the reference arithmetic; ``decide`` and the
+admission then run per lane on its row views. A single
+(lanes * (k + 1), d) gemv would be faster but rounds differently, so a
+cell's record would depend on its group; with the stacked product every
+record is bit for bit the one its config gives alone.
 
 :func:`decide` takes its arrays in slot order, with the incoming token
 last, and returns the victim's index into them (the last index refuses the
 incoming token). Every tie goes to the lowest token, so the victim does
 not depend on the slot order and a simulation is a pure function of
-(trace, config). The loop makes decisions and does not measure: besides
-one :class:`EvictionEvent` per step (written as JSON lines by
-:func:`events_to_jsonl`) it records, per token, the step at which the token
-left the cache (``evicted_at``). The exact rows that retained mass and TV
-compare against depend only on the trace, so :mod:`kvcachelab.metrics`
-computes them once, in blocks, for any number of runs over the same trace.
+(trace, config). The loop makes decisions and does not measure: its one
+record of them is, per token, the step at which the token left the cache
+(``evicted_at``), from which every per-step victim, refusal and cached set
+follows. The exact rows that retained mass and TV compare against depend
+only on the trace, so :mod:`kvcachelab.metrics` computes them once, in
+blocks, for any number of runs over the same trace.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -96,29 +94,17 @@ POLICY_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class EvictionEvent:
-    """One step's cache transition.
+def _floor_percent(text: str, n: int) -> int:
+    """``floor(p * n / 100)`` for the decimal ``p`` in ``text``, in integers.
 
-    ``evicted`` is None while the cache is filling. ``evicted == admitted``
-    marks a refused incoming token (nothing was written; ``slot`` is None).
-    For every genuine transition ``slot`` is the position that was written.
+    ``text`` must be a string that ``float`` accepts. Float arithmetic
+    would not floor exactly: ``0.29 * 100`` is 28.999999999999996.
     """
-
-    step: int
-    evicted: int | None
-    admitted: int
-    slot: int | None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"i": self.step, "evicted": self.evicted, "admitted": self.admitted, "slot": self.slot}
-        )
-
-
-def events_to_jsonl(events) -> str:
-    """Serialize eviction events as JSON-lines for replay/debugging."""
-    return "\n".join(ev.to_json() for ev in events) + "\n"
+    mantissa, _, exp = text.strip().replace("_", "").lower().partition("e")
+    whole, _, frac = mantissa.lstrip("+").partition(".")
+    shift = int(exp or 0) - len(frac)  # p == int(whole + frac) * 10**shift
+    num = int(whole + frac) * n
+    return num * 10**shift // 100 if shift >= 0 else num // (100 * 10**-shift)
 
 
 @dataclass(frozen=True)
@@ -127,7 +113,8 @@ class PolicyConfig:
 
     ``recent_frac`` splits the h2o budget: the last
     r = floor(recent_frac * budget) positions are the recency window and
-    the rest of the cache holds heavy hitters.
+    the rest of the cache holds heavy hitters. The floor is exact for the
+    decimal that ``recent_frac`` prints as, so 0.29 of 100 is 29.
     """
 
     kind: str
@@ -150,7 +137,7 @@ class PolicyConfig:
 
     @property
     def recent_budget(self) -> int:
-        return int(self.recent_frac * self.budget)
+        return _floor_percent(repr(float(self.recent_frac)), 100 * self.budget)
 
 
 def strided_pattern_member(token, step: int, stride: int):
@@ -217,31 +204,18 @@ def decide(policy: PolicyConfig, tokens, weights, scores) -> int:
 class SimulationRecord:
     """Outcome of one decode simulation.
 
-    One eviction event per step, the final cache and its scores, and
-    ``evicted_at``: for each token (0-based row t - 1) the step at which it
-    left the cache, ``t`` itself when it was refused and ``n + 1`` when it
-    was never evicted. Token t is in the cached set S_i after step i's
-    transition exactly when ``t <= i < evicted_at[t - 1]``. The per-step
-    cached sets are reconstructed on demand (a full-length list of sets
-    would dominate memory for long traces).
+    The final cache's scores and ``evicted_at``, the run's eviction
+    schedule: for each token (0-based row t - 1) the step at which it left
+    the cache, ``t`` itself when it was refused and ``n + 1`` when it was
+    never evicted. Token t is in the cached set S_i after step i's
+    transition exactly when ``t <= i < evicted_at[t - 1]``; step i's victim
+    is the token whose ``evicted_at`` is i, and the fill's steps have none.
     """
 
     config: PolicyConfig
     n: int
-    events: list[EvictionEvent]
     final_scores: dict[int, float]
     evicted_at: np.ndarray
-
-    def step_sets(self) -> Iterator[tuple[int, frozenset[int]]]:
-        """Yield (i, S_i): the cached set after each step's transition."""
-        current: set[int] = set()
-        for ev in self.events:
-            if ev.evicted is None:
-                current.add(ev.admitted)
-            elif ev.evicted != ev.admitted:
-                current.discard(ev.evicted)
-                current.add(ev.admitted)
-            yield ev.step, frozenset(current)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -253,14 +227,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _record(policy, n, events, slot_tok, slot_score, evicted_at) -> SimulationRecord:
+def _record(policy, n, slot_tok, slot_score, evicted_at) -> SimulationRecord:
     """A run's record, with its final cache read off the slots in token order."""
     order = np.argsort(slot_tok)
     final = slot_tok[order]
     return SimulationRecord(
         config=policy,
         n=n,
-        events=events,
         final_scores=dict(zip(final.tolist(), slot_score[order].tolist())),
         evicted_at=evicted_at,
     )
@@ -292,27 +265,25 @@ def run_policies(trace: AttentionTrace, configs: Iterable[PolicyConfig]) -> list
     sizes = [min(p.budget, n) for p in configs]
     records: list[SimulationRecord | None] = [None] * len(configs)
     fill_score = np.zeros(max(sizes, default=0) + 1)
-    fill_events: list[EvictionEvent] = []
+    fill_steps = 0  # the steps the fill has run
     for k in sorted(set(sizes)):
         # filling: step i writes token i into slot i - 1, so the cached keys are keys[:i]
-        for i in range(len(fill_events) + 1, k + 1):
+        for i in range(fill_steps + 1, k + 1):
             fill_score[:i] += _softmax(keys[:i] @ queries[i - 1])
-            fill_events.append(EvictionEvent(step=i, evicted=None, admitted=i, slot=i - 1))
+        fill_steps = k
         lanes = [c for c, size in enumerate(sizes) if size == k]
         if k == n:
             for c in lanes:
-                records[c] = _record(configs[c], n, fill_events[:k], np.arange(1, k + 1),
-                                     fill_score[:k], np.full(n, n + 1, dtype=np.int64))
+                records[c] = _record(configs[c], n, np.arange(1, k + 1), fill_score[:k],
+                                     np.full(n, n + 1, dtype=np.int64))
         else:
-            group = _lockstep(trace, [configs[c] for c in lanes], fill_score[:k + 1], fill_events)
+            group = _lockstep(trace, [configs[c] for c in lanes], fill_score[:k + 1])
             for c, record in zip(lanes, group):
                 records[c] = record
     return records
 
 
-def _lockstep(
-    trace: AttentionTrace, configs: list[PolicyConfig], filled: np.ndarray, fill_events: list[EvictionEvent]
-) -> list[SimulationRecord]:
+def _lockstep(trace: AttentionTrace, configs: list[PolicyConfig], filled: np.ndarray) -> list[SimulationRecord]:
     """Decode steps k + 1..n for cells at one cache size k < n, in lockstep.
 
     ``filled`` holds the accumulated scores after step k of the fill (the
@@ -332,10 +303,9 @@ def _lockstep(
     weights = np.empty(slot_score.shape)
     row_max = np.empty((len(configs), 1))
     row_sum = np.empty((len(configs), 1))
-    # per lane: its config, row views, events and evictions
+    # per lane: its config, row views and evictions
     lanes = [
-        (p, slot_keys[l], slot_tok[l], weights[l], slot_score[l], fill_events[:k],
-         np.full(n, n + 1, dtype=np.int64))
+        (p, slot_keys[l], slot_tok[l], weights[l], slot_score[l], np.full(n, n + 1, dtype=np.int64))
         for l, p in enumerate(configs)
     ]
     for i in range(k + 1, n + 1):
@@ -352,18 +322,14 @@ def _lockstep(
         np.add.reduce(weights, axis=1, out=row_sum, keepdims=True)
         weights /= row_sum
         slot_score += weights
-        for policy, lane_keys, tok, w, score, events, evicted_at in lanes:
+        for policy, lane_keys, tok, w, score, evicted_at in lanes:
             v = decide(policy, tok, w, score)
-            victim = int(tok[v])
-            evicted_at[victim - 1] = i
-            slot = None
+            evicted_at[tok[v] - 1] = i
             if v < k:  # the incoming token takes the victim's slot
                 lane_keys[v] = lane_keys[k]
                 tok[v] = i
                 score[v] = score[k]
-                slot = v
-            events.append(EvictionEvent(step=i, evicted=victim, admitted=i, slot=slot))
     return [
-        _record(policy, n, events, tok[:k], score[:k], evicted_at)
-        for policy, _, tok, _, score, events, evicted_at in lanes
+        _record(policy, n, tok[:k], score[:k], evicted_at)
+        for policy, _, tok, _, score, evicted_at in lanes
     ]

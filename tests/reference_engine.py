@@ -17,29 +17,38 @@ move the weights, and with them the accumulated scores, in the last bits.
 Given equal weights and scores, a decision never depends on the order: ties
 go to the lowest token.
 
-The oracle takes from ``kvcachelab`` only the trace, config and event types,
-the errors and the two pattern predicates, so a bug in library attention or
-metrics cannot reach both sides of an equivalence test. The tests require
-the engine's events and scores to match it bit for bit and the blocked
-metrics to match it within a tolerance fixed by the dtype; nothing under
-``src/`` imports it.
+The oracle takes from ``kvcachelab`` only the trace and config types, the
+errors and the two pattern predicates, so a bug in library attention or
+metrics cannot reach both sides of an equivalence test. It records its own
+per-step :class:`Transition` list and replays its cached sets from that, not
+from the engine's ``evicted_at``. The tests require the engine's
+``evicted_at`` and scores to match it bit for bit and the blocked metrics to
+match it within a tolerance fixed by the dtype; nothing under ``src/``
+imports it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from kvcachelab.errors import InconsistentState, InvalidSpec
-from kvcachelab.policies import (
-    EvictionEvent,
-    PolicyConfig,
-    fixed_pattern_member,
-    strided_pattern_member,
-)
+from kvcachelab.policies import PolicyConfig, fixed_pattern_member, strided_pattern_member
 from kvcachelab.trace import AttentionTrace
+
+
+class Transition(NamedTuple):
+    """One step's cache transition.
+
+    ``evicted`` is None while the cache is filling; ``evicted == admitted``
+    marks a refused incoming token.
+    """
+
+    step: int
+    evicted: int | None
+    admitted: int
 
 
 def softmax_over(trace: AttentionTrace, i: int, tokens: np.ndarray) -> np.ndarray:
@@ -78,17 +87,14 @@ class RefCache:
     def at_budget(self) -> bool:
         return len(self.slot_of) == self.budget
 
-    def admit(self, i: int, token: int) -> EvictionEvent:
-        slot = len(self.slot_of)
-        self.slot_of[token] = slot
-        return EvictionEvent(step=i, evicted=None, admitted=token, slot=slot)
+    def admit(self, i: int, token: int) -> Transition:
+        self.slot_of[token] = len(self.slot_of)
+        return Transition(step=i, evicted=None, admitted=token)
 
-    def swap(self, i: int, victim: int, token: int) -> EvictionEvent:
-        if victim == token:
-            return EvictionEvent(step=i, evicted=victim, admitted=token, slot=None)
-        slot = self.slot_of.pop(victim)
-        self.slot_of[token] = slot
-        return EvictionEvent(step=i, evicted=victim, admitted=token, slot=slot)
+    def swap(self, i: int, victim: int, token: int) -> Transition:
+        if victim != token:
+            self.slot_of[token] = self.slot_of.pop(victim)
+        return Transition(step=i, evicted=victim, admitted=token)
 
 
 def update_scores(scores: dict[int, float], weights: dict[int, float]) -> dict[int, float]:
@@ -142,11 +148,11 @@ def decide(
 
 @dataclass
 class ReferenceRecord:
-    """Events and final state of a reference run."""
+    """Transitions and final state of a reference run."""
 
     config: PolicyConfig
     n: int
-    events: list[EvictionEvent]
+    events: list[Transition]
     final_scores: dict[int, float]
 
     def step_sets(self) -> Iterator[tuple[int, frozenset[int]]]:
@@ -166,7 +172,7 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> ReferenceRecord:
     n = trace.n
     cache = RefCache(budget=policy.budget)
     scores: dict[int, float] = {}
-    events: list[EvictionEvent] = []
+    events: list[Transition] = []
 
     for i in range(1, n + 1):
         weights = masked_step(trace, i, [*cache.in_slot_order, i])

@@ -1,6 +1,4 @@
-"""The cache as the engine records it (slots, refusals, events) and key quantization."""
-
-import json
+"""The cache as the engine records it (``evicted_at``, refusals) and key quantization."""
 
 import numpy as np
 import pytest
@@ -17,46 +15,21 @@ def _run(kind, budget, n=24):
     return kl.run_policy(t, kl.PolicyConfig(kind=kind, budget=budget))
 
 
-def test_admissions_fill_distinct_slots():
-    rec = _run("local", budget=3)
-    fill = rec.events[:3]
-    assert [(ev.evicted, ev.admitted, ev.slot) for ev in fill] == [(None, 1, 0), (None, 2, 1), (None, 3, 2)]
-    # at budget every step names a victim
-    assert all(ev.evicted is not None for ev in rec.events[3:])
-
-
-def test_swap_overwrites_in_place():
-    for kind in ("local", "h2o", "topk", "sparse_strided"):
-        rec = _run(kind, budget=5)
-        slot_of = {}
-        for ev in rec.events:
-            if ev.evicted is not None and ev.evicted != ev.admitted:
-                # the incoming token takes the victim's slot
-                assert ev.slot == slot_of.pop(ev.evicted)
-            if ev.slot is not None:
-                slot_of[ev.admitted] = ev.slot
-        assert sorted(slot_of.values()) == list(range(5))
-        assert set(slot_of) == set(rec.final_scores)
+def _cached_set(evicted_at, i):
+    """S_i: the tokens t <= i with ``i < evicted_at[t - 1]``."""
+    return frozenset((np.flatnonzero(evicted_at[:i] > i) + 1).tolist())
 
 
 def test_swap_refusing_incoming_changes_nothing():
     # the greedy without a recency window refuses low-scored incoming tokens
     rec = _run("h2_only", budget=4)
-    refused = [ev for ev in rec.events[4:] if ev.evicted == ev.admitted]
-    assert refused
-    assert all(ev.slot is None for ev in refused)
-    sets = dict(rec.step_sets())
-    for ev in refused:
-        assert sets[ev.step] == sets[ev.step - 1]
-
-
-def test_events_jsonl_schema():
-    t = kl.AttentionTrace(q=np.zeros((3, 1)), k=np.zeros((3, 1)))
-    rec = kl.run_policy(t, kl.PolicyConfig(kind="local", budget=2))
-    lines = kl.events_to_jsonl(rec.events).strip().split("\n")
-    parsed = [json.loads(line) for line in lines]
-    assert parsed[0] == {"i": 1, "evicted": None, "admitted": 1, "slot": 0}
-    assert parsed[2] == {"i": 3, "evicted": 1, "admitted": 3, "slot": 0}
+    tokens = np.arange(1, rec.n + 1)
+    refused = tokens[rec.evicted_at == tokens]
+    assert refused.size
+    for t in refused.tolist():
+        # no cached token leaves at a refused step, so the cached set stands
+        assert np.count_nonzero(rec.evicted_at == t) == 1
+        assert _cached_set(rec.evicted_at, t) == _cached_set(rec.evicted_at, t - 1)
 
 
 # --- quantization -------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import kvcachelab as kl
+import reference_engine as ref
 from kvcachelab.cli import build_parser, main, resolve_budget, write_csv
 from kvcachelab.trace import TRACE_KINDS
 from test_trace import MALFORMED_JSON, dominant_key_trace
@@ -78,6 +79,25 @@ def test_simulate_summary_counts_refusals(tmp_path):
         refusals[policy] = summary["refusals"]
     assert refusals["h2_only"] > 0
     assert refusals["local"] == 0
+
+
+@pytest.mark.parametrize("kind", ["power-law-keys", "uniform-gaussian"])
+def test_simulate_victims_match_the_reference_events(tmp_path, kind):
+    # the steps CSV and summary derive every victim from evicted_at; the oracle records them per step
+    path = _gen(tmp_path, kind=kind)
+    trace = kl.load_trace(path)
+    for policy in ("h2_only", "h2o"):
+        out = tmp_path / policy
+        assert run("simulate", "--trace", path, "--policy", policy, "--budget", "8",
+                   "--out-dir", out) == 0
+        events = ref.run_policy(trace, kl.PolicyConfig(kind=policy, budget=8)).events
+        rows = _read_csv(out / "simulate.steps.csv")
+        assert [r["evicted"] for r in rows] == ["" if ev.evicted is None else str(ev.evicted) for ev in events]
+        summary = json.loads((out / "simulate.summary.json").read_text())
+        assert summary["evictions"] == sum(ev.evicted is not None for ev in events) == 40
+        refusals = sum(ev.evicted == ev.admitted for ev in events)
+        assert summary["refusals"] == refusals
+        assert (refusals > 0) == (policy == "h2_only")
 
 
 @pytest.mark.parametrize("kind", TRACE_KINDS)
@@ -161,12 +181,23 @@ def test_compare_grid_and_full_row_equality(tmp_path):
                "--out-dir", out) == 0
     rows = _read_csv(out / "compare.csv")
     assert len(rows) == 4 * 5  # every policy at every budget of the default grid
-    assert all(float(r["memory_ratio"]) == int(r["budget"]) / 40 for r in rows)
+    assert all(float(r["memory_ratio"]) == min(int(r["budget"]), 40) / 40 for r in rows)
     at_full = [r for r in rows if r["budget_spec"] == "100%"]
     assert [r.pop("policy") for r in at_full] == ["h2o", "local", "sink_local", "topk"]
     # a budget that covers the trace is full attention, whatever the policy
     assert all(r == at_full[0] for r in at_full)
     assert float(at_full[0]["mean_retained_mass"]) == 1.0 and float(at_full[0]["mean_tv"]) == 0.0
+
+
+def test_compare_memory_ratio_caps_at_one(tmp_path):
+    # a budget over n caches the whole trace, no more
+    trace = _gen(tmp_path, n=40)
+    out = tmp_path / "cmp"
+    assert run("compare", "--trace", trace, "--policies", "h2o,local",
+               "--budgets", "80,100%", "--out-dir", out) == 0
+    rows = _read_csv(out / "compare.csv")
+    assert [r["budget"] for r in rows] == ["80", "40"] * 2
+    assert [r["memory_ratio"] for r in rows] == ["1.0"] * 4
 
 
 def test_compare_h2o_beats_sink_on_mid_sequence_heavy_trace(tmp_path):
