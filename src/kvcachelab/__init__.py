@@ -13,51 +13,40 @@ trace in one pass (:func:`run_policy` is its one-cell call) and records each
 cell's eviction schedule (the step at which each token left the cache), and
 :mod:`kvcachelab.metrics` scores any number of schedules against the exact
 attention map, which :func:`exact_blocks` yields in causal row blocks.
+
+Every export loads on first use, so ``import kvcachelab`` imports neither
+numpy nor any submodule until a name is asked for.
 """
 
 import importlib
 
-from .attention import exact_blocks
-from .errors import KVCacheLabError
-from .metrics import (
-    DeviationReport,
-    GoodDistributionCheck,
-    HeavyHitterProfile,
-    QuantizationSpec,
-    SparsityReport,
-    check_good_distribution,
-    heavy_hitter_profile,
-    retained_mass,
-    trace_sparsity,
-)
-from .policies import (
-    POLICY_KINDS,
-    PolicyConfig,
-    SimulationRecord,
-    decide,
-    run_policies,
-    run_policy,
-)
-from .trace import (
-    AttentionTrace,
-    SyntheticTraceSpec,
-    generate_trace,
-    load_trace,
-    save_trace,
-)
-
 __version__ = "0.1.0"
 
-# The theory lab loads on first use, so the decode commands never import it;
-# each lab module's __all__ names what the package re-exports from it.
-_LAB_MODULES = ("regression", "submodular")
+# module -> the names the package re-exports from it; None means the module's
+# own __all__ (the theory lab, which the decode commands never load)
+_EXPORTS = {
+    "attention": ("exact_blocks",),
+    "errors": ("KVCacheLabError",),
+    "metrics": ("DeviationReport", "GoodDistributionCheck", "HeavyHitterProfile", "QuantizationSpec",
+                "SparsityReport", "check_good_distribution", "heavy_hitter_profile", "retained_mass",
+                "trace_sparsity"),
+    "policies": ("POLICY_KINDS", "PolicyConfig", "SimulationRecord", "decide", "run_policies", "run_policy"),
+    "trace": ("AttentionTrace", "SyntheticTraceSpec", "generate_trace", "load_trace", "save_trace"),
+    "regression": None,
+    "submodular": None,
+}
+
+__all__ = [name for names in _EXPORTS.values() if names for name in names]
 
 
 def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
     if not name.startswith("_"):
-        for lab in _LAB_MODULES:
-            module = importlib.import_module(f".{lab}", __name__)
-            if name in module.__all__:
-                value = globals()[name] = getattr(module, name)
-                return value
+        for module_name, names in _EXPORTS.items():
+            if names is None or name in names:
+                module = importlib.import_module(f".{module_name}", __name__)
+                if name in (names or module.__all__):
+                    value = globals()[name] = getattr(module, name)
+                    return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,15 +25,24 @@ keeping only each run's eviction schedule, then measures every cell in one
 shared pass over the exact attention map; ``simulate`` makes the same
 passes for its one run, so a cell's numbers equal the matching
 ``simulate`` summary.
+
+The CLI runs on one OpenBLAS thread: it sets ``OPENBLAS_NUM_THREADS=1``
+before numpy loads unless the environment already sets it, so
+``OPENBLAS_NUM_THREADS=2 kvcachelab ...`` runs two.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
+
+# Each decode step is one small gemv, far too small for a second BLAS
+# thread; OpenBLAS reads this only when numpy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

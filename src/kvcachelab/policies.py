@@ -76,6 +76,7 @@ blocks, for any number of runs over the same trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -135,7 +136,7 @@ class PolicyConfig:
         if self.stride < 1:
             raise InvalidSpec("stride must be >= 1")
 
-    @property
+    @cached_property  # decide reads it every step; it writes __dict__, so frozen is fine
     def recent_budget(self) -> int:
         return _floor_percent(repr(float(self.recent_frac)), 100 * self.budget)
 

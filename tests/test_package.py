@@ -1,6 +1,7 @@
 """Static checks over the library's source."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -80,3 +81,64 @@ def test_lab_exports_resolve_on_first_use():
             assert getattr(kvcachelab, name) is getattr(lab, name)
     with pytest.raises(AttributeError):
         kvcachelab.no_such_name
+
+
+def _fresh_python(code, **env):
+    """Run ``code`` in a fresh interpreter with ``OPENBLAS_NUM_THREADS`` unset, plus ``env``."""
+    src = str(Path(kvcachelab.__file__).parent.parent)
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(base, PYTHONPATH=src, **env), timeout=60, check=True)
+    return done.stdout.split()
+
+
+_PIN_PROBE = (
+    "import os, kvcachelab.cli; "
+    "task = '/proc/self/task'; "
+    "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(task)) if os.path.isdir(task) else -1)"
+)
+
+
+def test_cli_runs_one_blas_thread_by_default():
+    value, threads = _fresh_python(_PIN_PROBE)
+    assert value == "1"
+    if threads == "-1":
+        pytest.skip("no /proc/self/task to count threads")
+    assert threads == "1"
+
+
+def test_cli_keeps_the_users_blas_thread_count():
+    # OpenBLAS caps threads at the CPU count, so only the setting is checked
+    value, _ = _fresh_python(_PIN_PROBE, OPENBLAS_NUM_THREADS="2")
+    assert value == "2"
+
+
+def test_package_import_loads_no_numpy_and_no_submodule():
+    code = "import sys, kvcachelab; print(*sorted(m for m in sys.modules if m == 'numpy' or m.startswith('kvcachelab.')))"
+    assert _fresh_python(code) == []
+    # a submodule still resolves as a package attribute without importing it first
+    assert _fresh_python("import kvcachelab; print(kvcachelab.metrics.__name__)") == ["kvcachelab.metrics"]
+
+
+# every name the package imported eagerly before its exports became lazy
+EAGER_EXPORTS = {
+    "attention": ["exact_blocks"],
+    "errors": ["KVCacheLabError"],
+    "metrics": ["DeviationReport", "GoodDistributionCheck", "HeavyHitterProfile", "QuantizationSpec",
+                "SparsityReport", "check_good_distribution", "heavy_hitter_profile", "retained_mass",
+                "trace_sparsity"],
+    "policies": ["POLICY_KINDS", "PolicyConfig", "SimulationRecord", "decide", "run_policies", "run_policy"],
+    "trace": ["AttentionTrace", "SyntheticTraceSpec", "generate_trace", "load_trace", "save_trace"],
+}
+
+
+def test_decode_exports_resolve_to_their_defining_objects():
+    star = {}
+    exec("from kvcachelab import *", star)
+    for module_name, names in EAGER_EXPORTS.items():
+        module = importlib.import_module(f"kvcachelab.{module_name}")
+        assert getattr(kvcachelab, module_name) is module
+        for name in names:
+            assert getattr(kvcachelab, name) is getattr(module, name)
+            assert star[name] is getattr(module, name)
+    assert sorted(kvcachelab.__all__) == sorted(n for names in EAGER_EXPORTS.values() for n in names)
