@@ -27,9 +27,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "attention": ("exact_blocks",),
     "errors": ("KVCacheLabError",),
-    "metrics": ("DeviationReport", "GoodDistributionCheck", "HeavyHitterProfile", "QuantizationSpec",
-                "SparsityReport", "check_good_distribution", "heavy_hitter_profile", "retained_mass",
-                "trace_sparsity"),
+    "metrics": ("DeviationReport", "HeavyHitterProfile", "QuantizationSpec", "SparsityReport",
+                "heavy_hitter_profile", "retained_mass", "trace_sparsity"),
     "policies": ("POLICY_KINDS", "PolicyConfig", "SimulationRecord", "decide", "run_policies", "run_policy"),
     "trace": ("AttentionTrace", "SyntheticTraceSpec", "generate_trace", "load_trace", "save_trace"),
     "regression": None,

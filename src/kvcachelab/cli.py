@@ -183,17 +183,23 @@ def cmd_simulate(args) -> list[str]:
     return [str(steps_csv), str(summary)]
 
 
+def _distinct_items(text: str, flag: str, least: int) -> list[str]:
+    """The distinct non-empty items of a comma list, in order; duplicates are dropped with a warning."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    distinct = list(dict.fromkeys(items))
+    if len(distinct) < least:
+        raise UsageError(f"{flag} needs at least {least} distinct comma-separated entries")
+    if len(distinct) != len(items):
+        print(f"warning: duplicate {flag} entries removed", file=sys.stderr)
+    return distinct
+
+
 def cmd_compare(args) -> list[str]:
     trace = load_trace(args.trace)
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    deduped = list(dict.fromkeys(policies))
-    if len(deduped) < 2:
-        raise UsageError("--policies needs at least two distinct comma-separated names")
-    if len(deduped) != len(policies):
-        print("warning: duplicate policy names removed", file=sys.stderr)
-    budgets = [b.strip() for b in (args.budgets.split(",") if args.budgets else DEFAULT_BUDGET_GRID)]
+    policies = _distinct_items(args.policies, "--policies", 2)
+    budgets = DEFAULT_BUDGET_GRID if args.budgets is None else _distinct_items(args.budgets, "--budgets", 1)
     cells = []
-    for kind in deduped:
+    for kind in policies:
         if kind not in POLICY_KINDS:
             raise UsageError(f"--policies contains unknown policy {kind!r}")
         for b in budgets:

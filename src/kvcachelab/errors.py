@@ -40,8 +40,7 @@ class InconsistentState(KVCacheLabError):
     """Inputs that contradict each other or an invariant.
 
     ``policies.decide`` raises it on an empty cache or on scores that do not
-    match the tokens one for one; ``metrics.check_good_distribution`` when
-    its aggregate verdicts contradict the per-sample ones.
+    match the tokens one for one.
     """
 
 
@@ -53,10 +52,6 @@ class EmptyRow(KVCacheLabError):
 
 class TraceMismatch(KVCacheLabError):
     """A simulation record does not belong to the given trace."""
-
-
-class DimensionMismatch(KVCacheLabError):
-    """Sampled vectors disagree in length."""
 
 
 # --- submodular lab -----------------------------------------------------------

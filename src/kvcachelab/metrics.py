@@ -25,12 +25,12 @@ cache would round its keys through.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .attention import exact_blocks
-from .errors import DimensionMismatch, EmptyRow, InconsistentState, InvalidSpec, TraceMismatch
+from .errors import EmptyRow, InvalidSpec, TraceMismatch
 from .policies import SimulationRecord
 from .trace import AttentionTrace
 
@@ -139,7 +139,9 @@ class HeavyHitterProfile:
     attender would have given it (sum of 1/i over the steps it was in
     view), so an early arrival alone does not register as heavy. Under
     near-uniform attention every token's debiased value is ~1 and the
-    top-10% share sits near 10%.
+    top-10% share sits near 10%. ``top_shares`` maps each fraction in
+    ``TOP_FRACS``, and 1.0, to the share of the debiased total that the
+    top fraction of tokens holds.
     """
 
     tokens: np.ndarray
@@ -147,15 +149,12 @@ class HeavyHitterProfile:
     normalized: np.ndarray
     top_shares: dict[float, float]
 
-    def share(self, frac: float) -> float:
-        return self.top_shares[frac]
+
+# the head shares a profile reports, besides the whole (1.0)
+TOP_FRACS = (0.05, 0.10, 0.20)
 
 
-def heavy_hitter_profile(
-    scores: Mapping[int, float],
-    total_steps: int,
-    top_fracs: Sequence[float] = (0.05, 0.10, 0.20),
-) -> HeavyHitterProfile:
+def heavy_hitter_profile(scores: Mapping[int, float], total_steps: int) -> HeavyHitterProfile:
     """Profile accumulated attention mass; intended for full-attention runs."""
     if not scores:
         raise EmptyRow("no accumulated scores to profile")
@@ -174,95 +173,12 @@ def heavy_hitter_profile(
     total = float(norm_sorted.sum())
     shares: dict[float, float] = {}
     m = len(tokens_sorted)
-    for frac in top_fracs:
+    for frac in TOP_FRACS:
         count = min(m, max(1, int(round(frac * m))))
         shares[frac] = float(norm_sorted[:count].sum()) / total
     shares[1.0] = float(norm_sorted.sum()) / total
     return HeavyHitterProfile(
         tokens=tokens_sorted, curve=curve, normalized=norm_sorted, top_shares=shares
-    )
-
-
-# --- sparse-support checks -------------------------------------------------------
-
-@dataclass(frozen=True)
-class GoodDistributionCheck:
-    """Whether sampled vectors keep a fixed core support with bounded excess.
-
-    A family of non-negative vectors is (alpha, tau, k)-good for a core set
-    S_0 of size k when every vector's tau-support contains S_0 and exceeds
-    it by at most alpha*k coordinates. The aggregate consequences (the core
-    survives intersection; union excess is at most alpha*k*n) follow from
-    the per-sample verdicts and are reported alongside them.
-    """
-
-    core: frozenset[int]
-    tau: float
-    alpha: float
-    core_ok: tuple[bool, ...]
-    excess_ok: tuple[bool, ...]
-    excess_counts: tuple[int, ...]
-    intersection_ok: bool
-    union_excess: int
-    union_ok: bool
-
-    @property
-    def k(self) -> int:
-        return len(self.core)
-
-    @property
-    def all_good(self) -> bool:
-        return all(self.core_ok) and all(self.excess_ok)
-
-
-def support_at(vector: np.ndarray, tau: float) -> frozenset[int]:
-    """1-based indices with value >= tau."""
-    return frozenset(int(j) + 1 for j in np.flatnonzero(np.asarray(vector) >= tau))
-
-
-def check_good_distribution(
-    samples: Sequence, core: Iterable[int], tau: float, alpha: float
-) -> GoodDistributionCheck:
-    """Verdicts for each sample plus the aggregate union/intersection claims."""
-    if tau <= 0:
-        raise InvalidSpec("tau must be > 0")
-    if alpha < 0:
-        raise InvalidSpec("alpha must be >= 0")
-    vecs = [np.asarray(s, dtype=np.float64) for s in samples]
-    if not vecs:
-        raise InvalidSpec("need at least one sample")
-    m = vecs[0].shape[0]
-    for v in vecs:
-        if v.ndim != 1 or v.shape[0] != m:
-            raise DimensionMismatch("samples must be 1-D vectors of equal length")
-    core = frozenset(int(t) for t in core)
-    if core and (min(core) < 1 or max(core) > m):
-        raise InvalidSpec(f"core set must lie within [1, {m}]")
-    k = len(core)
-    supports = [support_at(v, tau) for v in vecs]
-    core_ok = tuple(core <= s for s in supports)
-    excess_counts = tuple(len(s - core) for s in supports)
-    excess_ok = tuple(c <= alpha * k for c in excess_counts)
-    inter = frozenset.intersection(*supports)
-    union = frozenset.union(*supports)
-    intersection_ok = core <= inter
-    union_excess = len(union - core)
-    union_ok = union_excess <= alpha * k * len(vecs)
-    # aggregate claims are implied by the per-sample bullets
-    if all(core_ok) and not intersection_ok:
-        raise InconsistentState("every sample holds the core, yet their intersection does not")
-    if all(excess_ok) and not union_ok:
-        raise InconsistentState("every sample's excess is in bound, yet the union's is not")
-    return GoodDistributionCheck(
-        core=core,
-        tau=tau,
-        alpha=alpha,
-        core_ok=core_ok,
-        excess_ok=excess_ok,
-        excess_counts=excess_counts,
-        intersection_ok=intersection_ok,
-        union_excess=union_excess,
-        union_ok=union_ok,
     )
 
 

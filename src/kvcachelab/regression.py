@@ -43,7 +43,6 @@ __all__ = [
     "LossBreakdown",
     "NewtonResult",
     "RegressionProblem",
-    "check_hessian_lipschitz",
     "gradient",
     "hessian",
     "loss",
@@ -116,9 +115,6 @@ class RegressionProblem:
             return math.inf
         lead = 200.0 * math.exp(self.radius**2) if strong else 20.0
         return lead + self.pd_slack / sigma**2
-
-    def meets_pd_condition(self, strong: bool = True) -> bool:
-        return bool((self.w**2 >= self.ridge_floor(strong) - 1e-12).all())
 
 
 def _softmax_parts(problem: RegressionProblem, x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
@@ -213,30 +209,6 @@ def hessian(problem: RegressionProblem, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LipschitzCheck:
-    measured_ratio: float
-    bound: float
-    ok: bool
-
-
-def check_hessian_lipschitz(problem: RegressionProblem, x: np.ndarray, y: np.ndarray) -> LipschitzCheck:
-    """Spectral-norm Hessian variation against the n^2 exp(40 R^2) envelope."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    gap = float(np.linalg.norm(x - y))
-    if gap == 0.0:
-        raise InvalidSpec("x and y must differ")
-    r = problem.radius
-    for name, v in (("x", x), ("y", y)):
-        if float(np.linalg.norm(v)) > r + 1e-9:
-            raise InvalidSpec(f"{name} lies outside the radius ||.||_2 <= {r}")
-    measured = float(np.linalg.norm(hessian(problem, x) - hessian(problem, y), 2)) / gap
-    log_bound = 2.0 * math.log(problem.n) + 40.0 * r * r
-    bound = math.inf if log_bound > _LOG_MAX else math.exp(log_bound)
-    return LipschitzCheck(measured_ratio=measured, bound=bound, ok=measured <= bound)
-
-
-@dataclass(frozen=True)
 class SolverState:
     iteration: int
     x: np.ndarray
@@ -258,10 +230,6 @@ class NewtonResult:
     @property
     def iterations(self) -> int:
         return len(self.states) - 1
-
-    @property
-    def grad_norms(self) -> np.ndarray:
-        return np.array([s.grad_norm for s in self.states])
 
 
 def _state(problem, x, g, h, iteration, damped=False) -> SolverState:

@@ -29,6 +29,7 @@ imports it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -103,6 +104,15 @@ def update_scores(scores: dict[int, float], weights: dict[int, float]) -> dict[i
     for token, w in weights.items():
         updated[token] = updated.get(token, 0.0) + w
     return updated
+
+
+# non-decreasing concave transforms h of summed scores: H2O's one-in/one-out
+# victim keeps the cached set that maximises h(sum of its scores) under each
+SCORE_FUNCTIONS = {
+    "identity": lambda z: z,
+    "sqrt1p": lambda z: math.sqrt(z + 1.0),
+    "log1p": math.log1p,
+}
 
 
 def _min_score_token(tokens, scores: dict[int, float]) -> int:

@@ -220,6 +220,24 @@ def test_compare_deduplicates_policies(tmp_path, capsys):
     assert [r["policy"] for r in rows] == ["h2o", "local"]
 
 
+def test_compare_deduplicates_budgets(tmp_path, capsys):
+    trace = _gen(tmp_path, n=24)
+    out = tmp_path / "cmp"
+    assert run("compare", "--trace", trace, "--policies", "h2o,local",
+               "--budgets", "20%,4,20%", "--out-dir", out) == 0
+    rows = _read_csv(out / "compare.csv")
+    assert [(r["policy"], r["budget_spec"]) for r in rows] == [
+        ("h2o", "20%"), ("h2o", "4"), ("local", "20%"), ("local", "4")]
+    assert "duplicate --budgets entries removed" in capsys.readouterr().err
+
+
+def test_compare_empty_budget_list_is_config_error(tmp_path):
+    # an explicit empty list is not the default grid
+    trace = _gen(tmp_path, n=24)
+    assert run("compare", "--trace", trace, "--budgets", "", "--out-dir", tmp_path / "cmp") == 2
+    assert not (tmp_path / "cmp" / "compare.csv").exists()
+
+
 def test_compare_ignores_kve_workers(tmp_path, monkeypatch):
     trace = _gen(tmp_path, n=40)
     argv = ("compare", "--trace", trace, "--policies", "h2o,local,h2_only")

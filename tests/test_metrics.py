@@ -5,8 +5,8 @@ import pytest
 
 import kvcachelab as kl
 import reference_engine as ref
-from kvcachelab.errors import DimensionMismatch, InvalidSpec, TraceMismatch
-from kvcachelab.metrics import support_at, trace_sparsity
+from kvcachelab.errors import InvalidSpec, TraceMismatch
+from kvcachelab.metrics import trace_sparsity
 from kvcachelab.trace import TRACE_KINDS
 
 
@@ -101,7 +101,7 @@ def test_profile_uniform_trace_top_decile_near_ten_percent():
     # exactly uniform attention: all logits zero
     t = kl.AttentionTrace(q=np.zeros((128, 4)), k=np.zeros((128, 4)))
     profile = kl.heavy_hitter_profile(_full_scores(t), 128)
-    assert profile.share(0.10) == pytest.approx(0.10, abs=0.02)
+    assert profile.top_shares[0.10] == pytest.approx(0.10, abs=0.02)
     assert profile.top_shares[1.0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -110,7 +110,7 @@ def test_profile_power_law_concentration():
         kl.SyntheticTraceSpec(n=128, d=16, kind="power-law-keys", power_exponent=1.0, seed=0)
     )
     profile = kl.heavy_hitter_profile(_full_scores(t), 128)
-    assert profile.share(0.10) > 0.5
+    assert profile.top_shares[0.10] > 0.5
     assert profile.curve.shape == (128,)
     assert (np.diff(profile.normalized) <= 1e-12).all()  # sorted descending
 
@@ -118,25 +118,34 @@ def test_profile_power_law_concentration():
 def test_profile_single_token():
     t = kl.AttentionTrace(q=np.ones((1, 2)), k=np.ones((1, 2)))
     profile = kl.heavy_hitter_profile(_full_scores(t), 1)
-    assert profile.share(0.10) == pytest.approx(1.0)
+    assert profile.top_shares[0.10] == pytest.approx(1.0)
 
 
-# --- (alpha, tau, k)-good support checks -----------------------------------------------
+# --- (alpha, tau, k)-good support families ----------------------------------------------
+#
+# A family of non-negative vectors is (alpha, tau, k)-good for a core set S_0
+# of size k when every vector's tau-support {j : v_j >= tau} contains S_0 and
+# exceeds it by at most alpha*k coordinates. Then S_0 survives the
+# intersection of the supports, and their union exceeds S_0 by at most
+# alpha*k per vector.
+
+def _support(v, tau):
+    return {int(j) + 1 for j in np.flatnonzero(v >= tau)}
+
 
 def test_good_distribution_clean_case():
     core = {2, 5}
-    samples = [np.array([0.0, 0.8, 0.0, 0.0, 0.9, 0.0]) for _ in range(4)]
-    check = kl.check_good_distribution(samples, core, tau=0.5, alpha=0.5)
-    assert check.all_good and check.intersection_ok and check.union_ok
-    assert check.union_excess == 0
+    samples = [np.array([0.0, 0.5, 0.0, 0.0, 0.9, 0.0]) for _ in range(4)]  # the support is inclusive
+    supports = [_support(v, 0.5) for v in samples]
+    assert all(s == core for s in supports)
+    assert set.union(*supports) - core == set()
 
 
 def test_good_distribution_missing_core_coordinate():
     core = {2, 5}
+    good = np.array([0.0, 0.8, 0.0, 0.0, 0.9, 0.0])
     bad = np.array([0.0, 0.8, 0.0, 0.0, 0.1, 0.0])  # coordinate 5 below tau
-    check = kl.check_good_distribution([bad], core, tau=0.5, alpha=0.5)
-    assert not check.all_good
-    assert check.core_ok == (False,)
+    assert not core <= set.intersection(*(_support(v, 0.5) for v in (good, bad)))
 
 
 def test_good_distribution_matches_bruteforce_on_random_instances():
@@ -147,26 +156,17 @@ def test_good_distribution_matches_bruteforce_on_random_instances():
         tau = float(rng.uniform(0.2, 0.8))
         alpha = float(rng.uniform(0.0, 2.0))
         core = set(int(x) + 1 for x in rng.choice(m, size=rng.integers(1, min(m, 5) + 1), replace=False))
-        samples = [rng.random(m) * (rng.random(m) < 0.4) for _ in range(n_samples)]
-        check = kl.check_good_distribution(samples, core, tau=tau, alpha=alpha)
-        # naive per-element double loop
-        union_excess = 0
-        seen = set()
-        for v, c_ok, e_ok, e_cnt in zip(samples, check.core_ok, check.excess_ok, check.excess_counts):
-            supp = {j + 1 for j in range(m) if v[j] >= tau}
-            assert c_ok == core.issubset(supp)
-            excess = {j for j in supp if j not in core}
-            assert e_cnt == len(excess)
-            assert e_ok == (len(excess) <= alpha * len(core))
-            seen |= excess
-        assert check.union_excess == len(seen)
-        assert check.union_ok == (len(seen) <= alpha * len(core) * n_samples)
-
-
-def test_good_distribution_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        kl.check_good_distribution([np.zeros(3), np.zeros(4)], {1}, tau=0.5, alpha=1.0)
-
-
-def test_support_at_inclusive():
-    assert support_at(np.array([0.5, 0.49]), 0.5) == frozenset({1})
+        outside = np.array([j for j in range(1, m + 1) if j not in core], dtype=np.int64)
+        k = len(core)
+        samples = []
+        for _ in range(n_samples):
+            # a good sample: the core above tau, at most alpha*k others at it
+            v = rng.random(m) * tau
+            v[[j - 1 for j in core]] = tau + rng.random(k)
+            extra = rng.choice(outside, size=rng.integers(0, min(len(outside), int(alpha * k)) + 1), replace=False)
+            v[extra - 1] = tau
+            samples.append(v)
+        supports = [_support(v, tau) for v in samples]
+        assert all(core <= s and len(s - core) <= alpha * k for s in supports)
+        assert core <= set.intersection(*supports)
+        assert len(set.union(*supports) - core) <= alpha * k * n_samples

@@ -12,7 +12,6 @@ import kvcachelab as kl
 import reference_engine as ref
 from kvcachelab.errors import InconsistentState, InvalidSpec
 from kvcachelab.policies import decide, fixed_pattern_member, strided_pattern_member
-from kvcachelab.submodular import score_function
 from kvcachelab.trace import TRACE_KINDS
 
 
@@ -60,7 +59,7 @@ def test_h2o_evicts_lowest_scored_unshielded():
     # the window is the last recent_budget = 2 positions, {4, 5}
     victim = _decide(cfg, [1, 2, 3, 4], 5, scores=scores)
     assert victim == 2
-    ref_victim = reference_h2o_victim([1, 2, 3], [1, 2, 3, 4, 5], scores, score_function("identity"))
+    ref_victim = reference_h2o_victim([1, 2, 3], [1, 2, 3, 4, 5], scores, ref.SCORE_FUNCTIONS["identity"])
     assert victim == ref_victim
 
 
@@ -184,8 +183,8 @@ def test_min_score_equals_literal_argmax_and_h_invariance():
         victim = _decide(cfg, tokens, i, scores=scores)
         candidates = [t for t in tokens + [i] if t <= i - cfg.recent_budget]
         # the min-score victim is the literal argmax under every monotone h
-        for fn in ("identity", "sqrt1p", "log1p"):
-            assert victim == reference_h2o_victim(candidates, tokens + [i], scores, score_function(fn))
+        for h in ref.SCORE_FUNCTIONS.values():
+            assert victim == reference_h2o_victim(candidates, tokens + [i], scores, h)
 
 
 # --- run_policy ---------------------------------------------------------------

@@ -1,11 +1,8 @@
 """Loss/gradient/Hessian oracles and the Newton solver."""
 
-import math
-
 import numpy as np
 import pytest
 
-import kvcachelab as kl
 import kvcachelab.regression as regression
 from kvcachelab.errors import InvalidSpec, MaxIterationsExceeded, NonFinite
 from kvcachelab.regression import (
@@ -13,7 +10,6 @@ from kvcachelab.regression import (
     _exp_z,
     _fit_curvature,
     _softmax_parts,
-    check_hessian_lipschitz,
     gradient,
     hessian,
     loss,
@@ -200,7 +196,7 @@ def test_pd_floor_under_weight_condition(regime):
     rng = np.random.default_rng(17)
     for seed in range(10):
         p = random_problem(n=8, d=4, seed=seed, regime=regime, pd_slack=1.0)
-        assert p.meets_pd_condition(strong=(regime == "strong"))
+        assert (p.w**2 >= p.ridge_floor(strong=(regime == "strong")) - 1e-12).all()
         x = rng.standard_normal(4)
         x *= min(1.0, p.radius / np.linalg.norm(x))
         min_eig = float(np.linalg.eigvalsh(hessian(p, x))[0])
@@ -208,17 +204,25 @@ def test_pd_floor_under_weight_condition(regime):
 
 
 # --- Lipschitz envelope -----------------------------------------------------------------
+#
+# On the ball ||x|| <= R the Hessian is Lipschitz in the spectral norm with
+# constant at most n^2 exp(40 R^2).
+
+def _lipschitz_ratio(p, x, y):
+    return np.linalg.norm(hessian(p, x) - hessian(p, y), 2) / np.linalg.norm(x - y)
+
+
+def _lipschitz_envelope(p):
+    return p.n**2 * np.exp(40.0 * p.radius**2)
+
 
 def test_lipschitz_small_perturbation():
     p = random_problem(n=6, d=3, seed=2, regime="weak")
     x = np.full(3, 0.1)
-    y = x + 1e-6
-    chk = check_hessian_lipschitz(p, x, y)
-    assert chk.ok
-    assert chk.measured_ratio < chk.bound / 1e3
+    assert _lipschitz_ratio(p, x, x + 1e-6) < _lipschitz_envelope(p) / 1e3
 
 
-def test_lipschitz_random_pairs_no_violbirth():
+def test_lipschitz_random_pairs_no_violation():
     rng = np.random.default_rng(23)
     for seed in range(100):
         p = random_problem(n=6, d=3, seed=seed, regime="weak")
@@ -228,13 +232,12 @@ def test_lipschitz_random_pairs_no_violbirth():
             v *= rng.uniform(0.1, 0.9) * p.radius / np.linalg.norm(v)
         if np.allclose(x, y):
             continue
-        assert check_hessian_lipschitz(p, x, y).ok
+        assert _lipschitz_ratio(p, x, y) <= _lipschitz_envelope(p)
 
 
 def test_lipschitz_zero_matrix():
     p = RegressionProblem(a=np.zeros((3, 2)), b=np.full(3, 0.3), w=np.ones(3), radius=1.0)
-    chk = check_hessian_lipschitz(p, np.array([0.1, 0.0]), np.array([0.0, 0.1]))
-    assert chk.measured_ratio == 0.0
+    assert _lipschitz_ratio(p, np.array([0.1, 0.0]), np.array([0.0, 0.1])) == 0.0
 
 
 # --- Newton solver ----------------------------------------------------------------------
@@ -260,7 +263,7 @@ def test_convergence_within_budget_strong_regime():
         r = newton_solve(p, tol=1e-10, max_iter=30)
         assert r.converged and r.iterations <= 30
         assert r.states[-1].min_eig >= p.pd_slack * (1 - 1e-6)
-        norms = r.grad_norms
+        norms = [s.grad_norm for s in r.states]
         assert (np.diff(norms) < 0).all()  # strictly decreasing
 
 
@@ -270,7 +273,7 @@ def test_quadratic_tail():
     x0 = np.full(4, 0.7)
     x0 *= 0.95 * p.radius / np.linalg.norm(x0)
     r = newton_solve(p, x0=x0, tol=1e-10, max_iter=60)
-    norms = [g for g in r.grad_norms if g > 0]
+    norms = [s.grad_norm for s in r.states if s.grad_norm > 0]
     assert r.iterations >= 4
     tail = norms[-4:]
     for gt, gnext in zip(tail, tail[1:]):

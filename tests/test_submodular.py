@@ -1,22 +1,47 @@
-"""Greedy guarantees, noisy-oracle robustness, certification, the attention-score adapter."""
+"""Greedy guarantees, noisy-oracle robustness, diminishing returns, H2O's choice as a selection."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import kvcachelab as kl
+import reference_engine as ref
 from kvcachelab.errors import BadBudget, TooLarge
 from kvcachelab.submodular import (
     GREEDY_RATIO,
     NoisyOracle,
     SubmodularInstance,
-    attention_score_instance,
     brute_force_opt,
     greedy,
     robust_greedy,
     robust_greedy_floor,
 )
+
+
+def _score_instance(scores, h):
+    """f(S) = h(sum of the scores in S) - h(0) over the sorted tokens, and those tokens.
+
+    For a non-decreasing concave h, f is monotone submodular; with h the
+    identity it is modular, and greedy picks the top-k scores.
+    """
+    tokens = sorted(scores)
+    w = [scores[t] for t in tokens]
+    return SubmodularInstance(len(w), lambda s: h(sum(w[i - 1] for i in s)) - h(0.0)), tokens
+
+
+def _submodular_and_monotone(inst):
+    """Exhaustive check: every marginal gain is >= 0 and no larger on a superset."""
+    subsets = [frozenset(c) for r in range(inst.n + 1) for c in combinations(range(1, inst.n + 1), r)]
+    return all(
+        inst.marginal(small, x) >= inst.marginal(big, x) - 1e-12 and inst.marginal(big, x) >= -1e-12
+        for big in subsets
+        for small in subsets
+        if small <= big
+        for x in range(1, inst.n + 1)
+        if x not in big
+    )
 
 
 def _random_instance(rng):
@@ -118,14 +143,6 @@ def test_oracle_error_bounded_and_deterministic():
         assert abs(v1 - inst.marginal(s, elem)) <= 0.25 + 1e-12
 
 
-def test_adversarial_noise_sits_at_edges():
-    inst = SubmodularInstance.modular([1.0, 2.0, 3.0])
-    oracle = NoisyOracle(inst, eps=0.5, seed=3, adversarial=True)
-    for e in (1, 2, 3):
-        gap = abs(oracle.query(frozenset(), e) - inst.marginal(frozenset(), e))
-        assert gap == pytest.approx(0.5)
-
-
 def test_noiseless_robust_greedy_equals_greedy():
     rng = np.random.default_rng(9)
     for _ in range(25):
@@ -135,18 +152,32 @@ def test_noiseless_robust_greedy_equals_greedy():
         assert a.selected == b.selected and a.order == b.order
 
 
+class _AdversarialOracle:
+    """Marginal gains off by exactly eps against the optimum: its elements read low, the rest high."""
+
+    def __init__(self, instance, eps, opt):
+        self.instance, self.eps, self.opt = instance, eps, opt
+
+    def query(self, subset, element):
+        gain = self.instance.marginal(frozenset(subset), element)
+        return gain - self.eps if element in self.opt else gain + self.eps
+
+
 def test_robust_greedy_bound_uniform_and_adversarial():
     rng = np.random.default_rng(13)
     for trial in range(150):
         inst, k = _random_instance(rng)
         eps = float(rng.uniform(0.0, 0.4))
         opt = brute_force_opt(inst, k)
-        oracle = NoisyOracle(inst, eps=eps, seed=trial, adversarial=bool(trial % 2))
+        if trial % 2:
+            oracle = _AdversarialOracle(inst, eps, opt.selected)
+        else:
+            oracle = NoisyOracle(inst, eps=eps, seed=trial)
         sel = robust_greedy(oracle, k)
         assert sel.value >= robust_greedy_floor(opt.value, k, eps) - 1e-9
 
 
-# --- certification -----------------------------------------------------------------
+# --- diminishing returns -------------------------------------------------------------
 
 def test_standard_kinds_certify():
     rng = np.random.default_rng(2)
@@ -159,44 +190,41 @@ def test_standard_kinds_certify():
                 [set(rng.choice(6, size=rng.integers(1, 6), replace=False).tolist()) for _ in range(n)]
             ),
         ):
-            assert inst.certify_submodular()
-            assert inst.certify_monotone()
+            assert _submodular_and_monotone(inst)
             assert inst.value(frozenset()) == 0.0
 
 
 def test_concave_of_modular_certifies():
     rng = np.random.default_rng(4)
     for fn_name in ("sqrt1p", "log1p"):
-        h = kl.score_function(fn_name)
         for _ in range(10):
             weights = rng.random(5) * 4
-            inst = SubmodularInstance.concave_of_modular(weights, h)
-            assert inst.certify_submodular()
-            assert inst.certify_monotone()
+            inst, _ = _score_instance(dict(enumerate(weights, start=1)), ref.SCORE_FUNCTIONS[fn_name])
+            assert _submodular_and_monotone(inst)
 
 
 def test_certifier_rejects_supermodular():
     # squared modular mass has increasing returns
     inst = SubmodularInstance(3, lambda s: float(len(s)) ** 2)
-    assert not inst.certify_submodular()
+    assert not _submodular_and_monotone(inst)
 
 
-# --- attention-score adapter ----------------------------------------------------------
+# --- accumulated scores as a selection objective ------------------------------------------
 
 def test_identity_adapter_is_modular_topk():
-    inst, tokens = attention_score_instance({4: 3.0, 9: 1.0, 11: 2.0}, "identity")
+    inst, tokens = _score_instance({4: 3.0, 9: 1.0, 11: 2.0}, ref.SCORE_FUNCTIONS["identity"])
     assert tokens == [4, 9, 11]
     sel = greedy(inst, 2)
     assert {tokens[e - 1] for e in sel.selected} == {4, 11}
 
 
 def test_sqrt_adapter_hand_enumeration():
-    inst, tokens = attention_score_instance({1: 3.0, 2: 1.0, 3: 1.0}, "sqrt1p")
+    inst, tokens = _score_instance({1: 3.0, 2: 1.0, 3: 1.0}, ref.SCORE_FUNCTIONS["sqrt1p"])
     assert inst.value({1}) == pytest.approx(math.sqrt(4.0) - 1.0)
     sel = greedy(inst, 2)
     assert sel.order[0] == 1
     assert sel.order[1] == 2  # sqrt(5) tie between {1,2} and {1,3}
-    assert inst.certify_submodular(cap=3)
+    assert _submodular_and_monotone(inst)
 
 
 def test_h2o_choice_near_optimal_per_step():
@@ -204,11 +232,13 @@ def test_h2o_choice_near_optimal_per_step():
     for _ in range(60):
         k = int(rng.integers(2, 7))
         scores = {t: float(rng.uniform(0.01, 5.0)) for t in range(1, k + 2)}
-        for fn in ("identity", "sqrt1p", "log1p"):
-            inst, tokens = attention_score_instance(scores, fn)
-            # the one-in/one-out choice keeps everything except the min score
-            victim = min(scores, key=lambda t: (scores[t], t))
-            kept = [tokens.index(t) + 1 for t in scores if t != victim]
+        # token k + 1 arrives at a full cache; without a window every token is a candidate
+        no_window = kl.PolicyConfig(kind="h2o", budget=k, recent_frac=0.0)
+        victim = 1 + kl.decide(no_window, list(scores), [0.0] * (k + 1), list(scores.values()))
+        kept = [t for t in scores if t != victim]
+        for h in ref.SCORE_FUNCTIONS.values():
+            # tokens are 1..k+1, so each token is its own ground element
+            inst, _ = _score_instance(scores, h)
             opt = brute_force_opt(inst, k)
             assert inst.value(kept) >= GREEDY_RATIO * opt.value - 1e-12
             assert inst.value(kept) == pytest.approx(opt.value)  # argmax = top-k here
