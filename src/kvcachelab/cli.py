@@ -183,10 +183,14 @@ def cmd_simulate(args) -> list[str]:
     return [str(steps_csv), str(summary)]
 
 
-def _distinct_items(text: str, flag: str, least: int) -> list[str]:
-    """The distinct non-empty items of a comma list, in order; duplicates are dropped with a warning."""
+def _distinct_items(text: str, flag: str, least: int, key=str) -> list[str]:
+    """The non-empty items of a comma list, in order; an item whose ``key``
+    repeats an earlier item's is dropped with a warning."""
     items = [item.strip() for item in text.split(",") if item.strip()]
-    distinct = list(dict.fromkeys(items))
+    first = {}
+    for item in items:
+        first.setdefault(key(item), item)
+    distinct = list(first.values())
     if len(distinct) < least:
         raise UsageError(f"{flag} needs at least {least} distinct comma-separated entries")
     if len(distinct) != len(items):
@@ -197,7 +201,11 @@ def _distinct_items(text: str, flag: str, least: int) -> list[str]:
 def cmd_compare(args) -> list[str]:
     trace = load_trace(args.trace)
     policies = _distinct_items(args.policies, "--policies", 2)
-    budgets = DEFAULT_BUDGET_GRID if args.budgets is None else _distinct_items(args.budgets, "--budgets", 1)
+    # specs that resolve to one budget ("20%,60" at n=300) are one cell
+    budgets = (
+        DEFAULT_BUDGET_GRID if args.budgets is None
+        else _distinct_items(args.budgets, "--budgets", 1, key=lambda b: resolve_budget(b, trace.n))
+    )
     cells = []
     for kind in policies:
         if kind not in POLICY_KINDS:

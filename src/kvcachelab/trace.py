@@ -13,7 +13,9 @@ row-major. JSON alternative: ``{"n": ..., "d": ..., "Q": [[...]], "K": [[...]]}`
 with integer ``n`` and ``d`` and JSON numbers (not strings or booleans) as entries.
 The loader auto-detects the format by the magic bytes. Both formats
 round-trip matrices bit-exactly (JSON uses ``repr`` floats, which Python
-guarantees to round-trip).
+guarantees to round-trip). The JSON loader walks the top-level object itself
+and reads the ``Q`` and ``K`` blocks one row at a time, so a load peaks at
+about twice the file's size: its bytes and their decoded text.
 
 Synthetic generators stand in for traces captured from a real model. The
 ``power-law-keys`` kind scales key norms like ``rank**-exponent`` so a small
@@ -24,9 +26,9 @@ gives the first token the largest key.
 from __future__ import annotations
 
 import json
+import re
 import struct
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -199,41 +201,102 @@ def save_trace(trace: AttentionTrace, path, fmt: str | None = None) -> None:
 
 # JSON numbers parse to exactly these types; bool, a subclass of int, is excluded
 _JSON_NUMBERS = {int, float}
+_DECODER = json.JSONDecoder()
+_WS = re.compile(r"[ \t\n\r]*")  # JSON whitespace, as the json module skips it
+# Rows of a block are packed into a float64 chunk once they hold this many
+# entries, so at most one chunk of a block is alive as Python floats.
+_CHUNK_ENTRIES = 1 << 14
 
 
-def _json_block(doc: dict, name: str, path: str) -> np.ndarray:
-    # pop: the block's Python lists are freed once it is an array
-    rows = doc.pop(name)
-    # a string row would otherwise be read character by character, and a
-    # string or boolean entry converted to a float
-    if not (
-        isinstance(rows, list)
-        and all(isinstance(row, list) for row in rows)
-        and set(map(type, chain.from_iterable(rows))) <= _JSON_NUMBERS
-    ):
-        raise MalformedTrace(f"{path}: {name} must be a list of rows, each a list of numbers")
-    try:
-        return np.array(rows, dtype=np.float64)
-    except OverflowError:  # an integer beyond float64's range
-        raise MalformedTrace(f"{path}: {name} has an entry beyond float64's range") from None
+def _skip(text: str, idx: int, token: str, expecting: str) -> int:
+    """The index past ``token`` at ``text[idx]`` and the whitespace after it."""
+    if not text.startswith(token, idx):
+        raise json.JSONDecodeError(f"Expecting {expecting}", text, idx)
+    return _WS.match(text, idx + len(token)).end()
 
 
-def _json_trace(doc, path: str) -> AttentionTrace:
-    try:
-        n, d = doc["n"], doc["d"]
-        if type(n) is not int or type(d) is not int:
-            raise MalformedTrace(f"{path}: n and d must be JSON integers")
-        q = _json_block(doc, "Q", path)
-        k = _json_block(doc, "K", path)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedTrace(f"{path}: bad JSON trace ({exc})") from None
-    for name, m in (("Q", q), ("K", k)):
+def _json_block(text: str, idx: int) -> tuple[np.ndarray | None, int]:
+    """Read the Q or K value that starts at ``text[idx]``, one row at a time.
+
+    Returns the block, or None if the value is JSON but not a non-empty list
+    of equal-length rows of numbers within float64's range, and the index
+    past the value. Text that is not JSON raises ``ValueError``.
+    """
+    start = idx
+    chunks, rows, width = [], [], None
+    if text.startswith("[", idx):
+        idx = _WS.match(text, idx + 1).end()
+        while text.startswith("[", idx):
+            row, idx = _DECODER.raw_decode(text, idx)
+            if width is None:
+                width = len(row)
+            # a string or boolean entry would otherwise become a float
+            if len(row) != width or not set(map(type, row)) <= _JSON_NUMBERS:
+                break
+            rows.append(row)
+            idx = _WS.match(text, idx).end()
+            last = text.startswith("]", idx)
+            if last or len(rows) * width >= _CHUNK_ENTRIES:
+                try:
+                    chunks.append(np.array(rows, dtype=np.float64))
+                except OverflowError:  # an integer beyond float64's range
+                    break
+                rows = []
+            if last:
+                return np.concatenate(chunks), idx + 1
+            if not text.startswith(",", idx):
+                break
+            idx = _WS.match(text, idx + 1).end()
+    # Not a block: read the value whole, which also checks that it is JSON.
+    # A later duplicate key may still supply the block.
+    return None, _DECODER.raw_decode(text, start)[1]
+
+
+def _json_members(text: str) -> dict:
+    """Walk a JSON document's top-level object; its members, Q and K as blocks.
+
+    Any key order, escaped keys and unknown keys with any value are
+    accepted; the last duplicate of a key wins, as in ``json.loads``. Text
+    that is not one non-empty JSON object raises ``ValueError`` (an empty
+    object holds no trace either).
+    """
+    members = {}
+    idx = _skip(text, _WS.match(text).end(), "{", "'{'")
+    while True:
+        if not text.startswith('"', idx):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, idx)
+        key, idx = _DECODER.raw_decode(text, idx)
+        idx = _skip(text, _WS.match(text, idx).end(), ":", "':' delimiter")
+        read = _json_block if key in ("Q", "K") else _DECODER.raw_decode
+        members[key], idx = read(text, idx)
+        idx = _WS.match(text, idx).end()
+        if text.startswith("}", idx):
+            break
+        idx = _skip(text, idx, ",", "',' delimiter")
+    if _WS.match(text, idx + 1).end() != len(text):
+        raise json.JSONDecodeError("Extra data", text, idx + 1)
+    return members
+
+
+def _json_trace(members: dict, path: str) -> AttentionTrace:
+    missing = [key for key in ("n", "d", "Q", "K") if key not in members]
+    if missing:
+        raise MalformedTrace(f"{path}: JSON trace lacks {', '.join(missing)}")
+    n, d = members["n"], members["d"]
+    if type(n) is not int or type(d) is not int:
+        raise MalformedTrace(f"{path}: n and d must be JSON integers")
+    for name in ("Q", "K"):
+        m = members[name]
+        if m is None:
+            raise MalformedTrace(
+                f"{path}: {name} must be a list of equal-length rows, each a list of numbers within float64's range"
+            )
         if m.shape != (n, d):
             raise MalformedTrace(
                 f"{path}: {name} block has shape {m.shape}, header says ({n}, {d})"
             )
     try:
-        return AttentionTrace(q=q, k=k)
+        return AttentionTrace(q=members["Q"], k=members["K"])
     except InvalidTrace as exc:
         raise MalformedTrace(f"{path}: {exc}") from None
 
@@ -244,17 +307,19 @@ def load_trace(path) -> AttentionTrace:
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.startswith(_MAGIC):
-        # The bytes, the text and the parsed lists are each about the file's
-        # size or more, so each is dropped as soon as the next one exists.
+        # The bytes and the text are each the file's size, so the bytes go as
+        # soon as the text exists; the blocks are read row by row, so the
+        # peak is about twice the file, at the decode.
         try:
             text = raw.decode("utf-8")
             del raw
-            doc = json.loads(text)
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            # RecursionError: nesting deeper than the parser's stack
-            raise MalformedTrace(f"{path}: neither KVT1 binary nor JSON ({exc})") from None
+            members = _json_members(text)
+        except (ValueError, RecursionError) as exc:
+            # ValueError: not UTF-8, not JSON, or an integer too long to
+            # convert; RecursionError: nesting deeper than the parser's stack
+            raise MalformedTrace(f"{path}: neither KVT1 binary nor a JSON object ({exc})") from None
         del text
-        return _json_trace(doc, path)
+        return _json_trace(members, path)
     if len(raw) < _HEADER.size:
         raise MalformedTrace(f"{path}: truncated header", byte_offset=len(raw))
     _, n, d = _HEADER.unpack_from(raw)

@@ -221,13 +221,25 @@ def test_compare_deduplicates_policies(tmp_path, capsys):
 
 
 def test_compare_deduplicates_budgets(tmp_path, capsys):
-    trace = _gen(tmp_path, n=24)
+    trace = _gen(tmp_path, n=48)  # 20% is 9, not the 4 that 20% of 24 is
     out = tmp_path / "cmp"
     assert run("compare", "--trace", trace, "--policies", "h2o,local",
                "--budgets", "20%,4,20%", "--out-dir", out) == 0
     rows = _read_csv(out / "compare.csv")
     assert [(r["policy"], r["budget_spec"]) for r in rows] == [
         ("h2o", "20%"), ("h2o", "4"), ("local", "20%"), ("local", "4")]
+    assert "duplicate --budgets entries removed" in capsys.readouterr().err
+
+
+def test_compare_deduplicates_budgets_on_the_resolved_budget(tmp_path, capsys):
+    # 20% of 300 is 60: one cell, kept under the first spec
+    trace = _gen(tmp_path, n=300)
+    out = tmp_path / "cmp"
+    assert run("compare", "--trace", trace, "--policies", "h2o,local",
+               "--budgets", "20%,60,30", "--out-dir", out) == 0
+    rows = _read_csv(out / "compare.csv")
+    assert [(r["policy"], r["budget_spec"], r["budget"]) for r in rows] == [
+        ("h2o", "20%", "60"), ("h2o", "30", "30"), ("local", "20%", "60"), ("local", "30", "30")]
     assert "duplicate --budgets entries removed" in capsys.readouterr().err
 
 

@@ -175,6 +175,13 @@ def test_robust_greedy_bound_uniform_and_adversarial():
             oracle = NoisyOracle(inst, eps=eps, seed=trial)
         sel = robust_greedy(oracle, k)
         assert sel.value >= robust_greedy_floor(opt.value, k, eps) - 1e-9
+    # the optimum reads 1 - eps = 0.75 and the decoy 0.55 + eps = 0.8, so greedy
+    # lands under (1-1/e)*OPT and only the k(2-1/e)eps allowance covers it
+    inst = SubmodularInstance.modular([1.0, 0.55])
+    opt = brute_force_opt(inst, 1)
+    sel = robust_greedy(_AdversarialOracle(inst, 0.25, opt.selected), 1)
+    assert opt.value == 1.0 and sel.selected == {2} and sel.value == 0.55
+    assert robust_greedy_floor(opt.value, 1, 0.25) <= sel.value < GREEDY_RATIO * opt.value
 
 
 # --- diminishing returns -------------------------------------------------------------
