@@ -9,10 +9,12 @@ caching.
 
 One decode path carries every result: :func:`run_policies` keeps the cache
 in slot-aligned arrays, steps any number of (policy, budget) cells over one
-trace in one pass (:func:`run_policy` is its one-cell call) and records each
-cell's eviction schedule (the step at which each token left the cache), and
-:mod:`kvcachelab.metrics` scores any number of schedules against the exact
-attention map, which :func:`exact_blocks` yields in causal row blocks.
+trace in one pass (:func:`run_policy` is its one-cell call) and returns each
+cell's eviction schedule ``evicted_at`` (the step at which each token left
+the cache), and :func:`deviation_reports` scores any number of schedules
+against the exact attention map, which :func:`exact_blocks` yields in
+causal row blocks; :func:`heavy_hitter_profile` reads full attention's
+accumulated scores off the same blocks.
 
 Every export loads on first use, so ``import kvcachelab`` imports neither
 numpy nor any submodule until a name is asked for.
@@ -28,8 +30,8 @@ _EXPORTS = {
     "attention": ("exact_blocks",),
     "errors": ("KVCacheLabError",),
     "metrics": ("DeviationReport", "HeavyHitterProfile", "QuantizationSpec", "SparsityReport",
-                "heavy_hitter_profile", "retained_mass", "trace_sparsity"),
-    "policies": ("POLICY_KINDS", "PolicyConfig", "SimulationRecord", "decide", "run_policies", "run_policy"),
+                "deviation_reports", "heavy_hitter_profile", "trace_sparsity"),
+    "policies": ("POLICY_KINDS", "PolicyConfig", "decide", "run_policies", "run_policy"),
     "trace": ("AttentionTrace", "SyntheticTraceSpec", "generate_trace", "load_trace", "save_trace"),
     "regression": None,
     "submodular": None,

@@ -21,10 +21,13 @@ Budgets accept an absolute count (``--budget 64``) or a fraction of the
 trace length (``--budget 20%``, floor-rounded, minimum 2). ``compare``
 decodes all of its (policy, budget) cells in one pass (a shared fill, then
 the cells of each cache size in lockstep; see :mod:`kvcachelab.policies`),
-keeping only each run's eviction schedule, then measures every cell in one
-shared pass over the exact attention map; ``simulate`` makes the same
+which returns each cell's eviction schedule, then measures every cell in
+one shared pass over the exact attention map; ``simulate`` makes the same
 passes for its one run, so a cell's numbers equal the matching
-``simulate`` summary.
+``simulate`` summary. Budget specs that resolve to one budget, in
+``--budgets`` or in its default grid on a short trace, are one cell.
+``profile`` decodes nothing: it reads full attention's accumulated scores
+off the exact attention map.
 
 The CLI runs on one OpenBLAS thread: it sets ``OPENBLAS_NUM_THREADS=1``
 before numpy loads unless the environment already sets it, so
@@ -48,16 +51,9 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidSpec, KVCacheLabError, MalformedTrace, MaxIterationsExceeded
-from .metrics import (
-    deviation_reports,
-    heavy_hitter_profile,
-    retained_mass,
-    trace_sparsity,
-)
+from .metrics import deviation_reports, heavy_hitter_profile, trace_sparsity
 from .policies import POLICY_KINDS, PolicyConfig, _floor_percent, run_policies, run_policy
 from .trace import TRACE_KINDS, SyntheticTraceSpec, generate_trace, load_trace, save_trace
-
-DEFAULT_BUDGET_GRID = ("4%", "10%", "20%", "60%", "100%")
 
 
 class UsageError(Exception):
@@ -135,14 +131,15 @@ def cmd_gen_trace(args) -> list[str]:
     return [args.out]
 
 
-def _mean_eviction_age(record) -> float | None:
+def _mean_eviction_age(evicted_at: np.ndarray) -> float | None:
     """Mean of ``evicted_at[t - 1] - t`` over the evicted cached tokens.
 
     Refused tokens (evicted at their own step) are not counted; None when
     no cached token was evicted.
     """
-    age = record.evicted_at - np.arange(1, record.n + 1)
-    evicted = (age > 0) & (record.evicted_at <= record.n)
+    n = len(evicted_at)
+    age = evicted_at - np.arange(1, n + 1)
+    evicted = (age > 0) & (evicted_at <= n)
     return float(age[evicted].mean()) if evicted.any() else None
 
 
@@ -150,10 +147,10 @@ def cmd_simulate(args) -> list[str]:
     trace = load_trace(args.trace)
     budget = resolve_budget(args.budget, trace.n)
     policy = _policy_from_args(args.policy, budget, args)
-    record = run_policy(trace, policy)
-    report = retained_mass(trace, record)
+    evicted_at = run_policy(trace, policy)
+    report = deviation_reports(trace, [evicted_at])[0]
     out = _ensure_out_dir(args)
-    n, evicted_at = trace.n, record.evicted_at
+    n = trace.n
     # each step's victim, 0 while the cache fills
     evicted = evicted_at <= n
     victim = np.zeros(n + 1, dtype=np.int64)
@@ -177,7 +174,7 @@ def cmd_simulate(args) -> list[str]:
             "evictions": int(np.count_nonzero(evicted)),
             # victims that were the incoming token itself
             "refusals": int(np.count_nonzero(evicted_at == np.arange(1, n + 1))),
-            "mean_eviction_age": _mean_eviction_age(record),
+            "mean_eviction_age": _mean_eviction_age(evicted_at),
         },
     )
     return [str(steps_csv), str(summary)]
@@ -201,19 +198,15 @@ def _distinct_items(text: str, flag: str, least: int, key=str) -> list[str]:
 def cmd_compare(args) -> list[str]:
     trace = load_trace(args.trace)
     policies = _distinct_items(args.policies, "--policies", 2)
-    # specs that resolve to one budget ("20%,60" at n=300) are one cell
-    budgets = (
-        DEFAULT_BUDGET_GRID if args.budgets is None
-        else _distinct_items(args.budgets, "--budgets", 1, key=lambda b: resolve_budget(b, trace.n))
-    )
+    # specs that resolve to one budget ("20%,60" at n=300, 4% and 10% below n=30) are one cell
+    budgets = _distinct_items(args.budgets, "--budgets", 1, key=lambda b: resolve_budget(b, trace.n))
     cells = []
     for kind in policies:
         if kind not in POLICY_KINDS:
             raise UsageError(f"--policies contains unknown policy {kind!r}")
         for b in budgets:
             cells.append((b, _policy_from_args(kind, resolve_budget(b, trace.n), args)))
-    schedules = [record.evicted_at for record in run_policies(trace, [policy for _, policy in cells])]
-    reports = deviation_reports(trace, schedules)
+    reports = deviation_reports(trace, run_policies(trace, [policy for _, policy in cells]))
     rows = [
         [policy.kind, b, policy.budget, report.mean_retained, report.mean_tv, min(policy.budget, trace.n) / trace.n]
         for (b, policy), report in zip(cells, reports)
@@ -240,10 +233,7 @@ def cmd_sparsity(args) -> list[str]:
 
 
 def cmd_profile(args) -> list[str]:
-    trace = load_trace(args.trace)
-    # a window as long as the trace evicts nothing
-    full = run_policy(trace, PolicyConfig(kind="local", budget=trace.n))
-    profile = heavy_hitter_profile(full.final_scores, trace.n)
+    profile = heavy_hitter_profile(load_trace(args.trace))
     out = _ensure_out_dir(args)
     path = out / "profile.csv"
     rows = [
@@ -389,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="sweep policies over a budget grid")
     p.add_argument("--trace", required=True)
     p.add_argument("--policies", default="h2o,local")
-    p.add_argument("--budgets", default=None, help="comma list, e.g. 4%%,20%%,64")
+    p.add_argument("--budgets", default="4%,10%,20%,60%,100%", help="comma list, e.g. 4%%,20%%,64")
     _add_policy_flags(p)
     p.add_argument("--out-dir", dest="out_dir", default="./out")
     p.set_defaults(func=cmd_compare)

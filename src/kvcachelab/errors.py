@@ -46,12 +46,8 @@ class InconsistentState(KVCacheLabError):
 
 # --- metrics ------------------------------------------------------------------
 
-class EmptyRow(KVCacheLabError):
-    """``metrics.heavy_hitter_profile`` received no accumulated scores."""
-
-
 class TraceMismatch(KVCacheLabError):
-    """A simulation record does not belong to the given trace."""
+    """An eviction schedule's length is not the given trace's n."""
 
 
 # --- submodular lab -----------------------------------------------------------

@@ -16,7 +16,9 @@ because ``sum_S |a_t / (1 - off) - a_t| = off`` and the off-cache entries
 add ``off`` again, halved. Every quantity comes from one blocked pass over
 the exact attention map, which :func:`deviation_reports` shares between any
 number of runs over the same trace; :func:`trace_sparsity` reads the same
-blocks.
+blocks. So does :func:`heavy_hitter_profile`: under full attention no token
+is ever evicted, so the scores a decode accumulates are the column sums of
+the row-normalised exact map, and the profile runs no decode.
 
 :class:`QuantizationSpec` is the per-slot key quantizer that a quantized
 cache would round its keys through.
@@ -25,13 +27,12 @@ cache would round its keys through.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .attention import exact_blocks
-from .errors import EmptyRow, InvalidSpec, TraceMismatch
-from .policies import SimulationRecord
+from .errors import InvalidSpec, TraceMismatch
 from .trace import AttentionTrace
 
 
@@ -115,18 +116,6 @@ def deviation_reports(trace: AttentionTrace, schedules: Sequence[np.ndarray]) ->
     ]
 
 
-def retained_mass(trace: AttentionTrace, record: SimulationRecord) -> DeviationReport:
-    """Per-step retained mass and TV of one run against exact attention.
-
-    For each step i with cached set S_i (after that step's transition), see
-    the module docstring for the formulas; ``trace`` must be the trace the
-    run decoded.
-    """
-    if record.n != trace.n:
-        raise TraceMismatch(f"record has n={record.n}, trace has n={trace.n}")
-    return deviation_reports(trace, [record.evicted_at])[0]
-
-
 # --- heavy-hitter profile ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -154,17 +143,21 @@ class HeavyHitterProfile:
 TOP_FRACS = (0.05, 0.10, 0.20)
 
 
-def heavy_hitter_profile(scores: Mapping[int, float], total_steps: int) -> HeavyHitterProfile:
-    """Profile accumulated attention mass; intended for full-attention runs."""
-    if not scores:
-        raise EmptyRow("no accumulated scores to profile")
-    tokens = np.array(sorted(scores), dtype=np.int64)
-    if tokens[0] < 1 or tokens[-1] > total_steps:
-        raise InvalidSpec("token indices must lie in [1, total_steps]")
-    raw = np.array([scores[t] for t in tokens])
+def heavy_hitter_profile(trace: AttentionTrace) -> HeavyHitterProfile:
+    """Profile the scores that full attention accumulates over ``trace``.
+
+    Token t's raw score is the sum of its exact weights over steps t..n:
+    the column sums of the row-normalised exact blocks.
+    """
+    n = trace.n
+    raw = np.zeros(n)
+    for _, e in exact_blocks(trace):
+        e /= e.sum(axis=1, keepdims=True)
+        raw[:e.shape[1]] += e.sum(axis=0)
+    tokens = np.arange(1, n + 1)
     # expected accumulated score under uniform attention: sum_{i=t}^{n} 1/i
-    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, total_steps + 1))))
-    baseline = harmonic[total_steps] - harmonic[tokens - 1]
+    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / tokens)))
+    baseline = harmonic[n] - harmonic[tokens - 1]
     normalized = raw / baseline
     order = np.argsort(-normalized, kind="stable")
     tokens_sorted = tokens[order]
@@ -172,9 +165,8 @@ def heavy_hitter_profile(scores: Mapping[int, float], total_steps: int) -> Heavy
     norm_sorted = normalized[order]
     total = float(norm_sorted.sum())
     shares: dict[float, float] = {}
-    m = len(tokens_sorted)
     for frac in TOP_FRACS:
-        count = min(m, max(1, int(round(frac * m))))
+        count = min(n, max(1, int(round(frac * n))))
         shares[frac] = float(norm_sorted[:count].sum()) / total
     shares[1.0] = float(norm_sorted.sum()) / total
     return HeavyHitterProfile(

@@ -49,28 +49,33 @@ cache does, so a step never scans or gathers by token.
 
 The fill is shared. While a cache fills, slot s holds token s + 1 whatever
 the policy, and the products read the trace's keys directly, so the fill
-runs once, up to the largest cache size k = min(budget, n). A cell at size
-k starts from the fill's scores after step k; a cell at budget n or more
-is done there. The cells that share a k < n are lanes that step in
-lockstep, one budget group at a time: lane l's cache is row l of
-``(lanes, k + 1, d)`` keys and ``(lanes, k + 1)`` tokens and scores. A
-step is one stacked matmul, which runs each lane's own gemv, and one
-softmax along the rows with the reference arithmetic; ``decide`` and the
-admission then run per lane on its row views. A single
+runs once, up to the largest cache size k = min(budget, n) below n. A cell
+at size k starts from the fill's scores after step k; a cell at budget n
+or more never evicts, so it decodes no step. The cells that share a k < n
+are lanes that step in lockstep, one budget group at a time: lane l's
+cache is row l of ``(lanes, k + 1, d)`` keys and ``(lanes, k + 1)`` tokens
+and scores. A step is one stacked matmul, which runs each lane's own gemv,
+and one softmax along the rows with the reference arithmetic; ``decide``
+and the admission then run per lane on its row views. A single
 (lanes * (k + 1), d) gemv would be faster but rounds differently, so a
-cell's record would depend on its group; with the stacked product every
-record is bit for bit the one its config gives alone.
+cell's schedule would depend on its group; with the stacked product every
+schedule is bit for bit the one its config gives alone.
 
 :func:`decide` takes its arrays in slot order, with the incoming token
 last, and returns the victim's index into them (the last index refuses the
 incoming token). Every tie goes to the lowest token, so the victim does
 not depend on the slot order and a simulation is a pure function of
-(trace, config). The loop makes decisions and does not measure: its one
-record of them is, per token, the step at which the token left the cache
-(``evicted_at``), from which every per-step victim, refusal and cached set
-follows. The exact rows that retained mass and TV compare against depend
-only on the trace, so :mod:`kvcachelab.metrics` computes them once, in
-blocks, for any number of runs over the same trace.
+(trace, config). The loop makes decisions and does not measure: a run's
+only record is its eviction schedule ``evicted_at``, an int64 array that
+holds for each token (0-based row t - 1) the step at which it left the
+cache, ``t`` itself when it was refused and ``n + 1`` when it was never
+evicted. Token t is in the cached set S_i after step i's transition exactly
+when ``t <= i < evicted_at[t - 1]``; step i's victim is the token whose
+``evicted_at`` is i, and the fill's steps have none. The config is the
+caller's and n is the schedule's length, so the array is the whole record.
+The exact rows that retained mass and TV compare against depend only on
+the trace, so :mod:`kvcachelab.metrics` computes them once, in blocks, for
+any number of schedules over the same trace.
 """
 
 from __future__ import annotations
@@ -201,24 +206,6 @@ def decide(policy: PolicyConfig, tokens, weights, scores) -> int:
     raise InvalidSpec(f"unknown policy {kind!r}")
 
 
-@dataclass
-class SimulationRecord:
-    """Outcome of one decode simulation.
-
-    The final cache's scores and ``evicted_at``, the run's eviction
-    schedule: for each token (0-based row t - 1) the step at which it left
-    the cache, ``t`` itself when it was refused and ``n + 1`` when it was
-    never evicted. Token t is in the cached set S_i after step i's
-    transition exactly when ``t <= i < evicted_at[t - 1]``; step i's victim
-    is the token whose ``evicted_at`` is i, and the fill's steps have none.
-    """
-
-    config: PolicyConfig
-    n: int
-    final_scores: dict[int, float]
-    evicted_at: np.ndarray
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     # in place, with the arithmetic of the reference loop's softmax
     # (tests/reference_engine.py), which the outputs are pinned to
@@ -228,63 +215,47 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _record(policy, n, slot_tok, slot_score, evicted_at) -> SimulationRecord:
-    """A run's record, with its final cache read off the slots in token order."""
-    order = np.argsort(slot_tok)
-    final = slot_tok[order]
-    return SimulationRecord(
-        config=policy,
-        n=n,
-        final_scores=dict(zip(final.tolist(), slot_score[order].tolist())),
-        evicted_at=evicted_at,
-    )
-
-
-def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> SimulationRecord:
+def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> np.ndarray:
     """Replay the budget-constrained generative process over a trace.
 
     Each step computes the restricted attention over the cached set plus
     the incoming token, folds it into the accumulated scores and lets the
-    policy resolve the eviction once the cache is at budget, recording when
-    each token leaves. Deterministic: equal (trace, policy) inputs give
-    equal records. The one-cell call of :func:`run_policies`.
+    policy resolve the eviction once the cache is at budget. Returns the
+    run's ``evicted_at`` (see the module docstring). Deterministic: equal
+    (trace, policy) inputs give equal schedules. The one-cell call of
+    :func:`run_policies`.
     """
     return run_policies(trace, [policy])[0]
 
 
-def run_policies(trace: AttentionTrace, configs: Iterable[PolicyConfig]) -> list[SimulationRecord]:
-    """Run every config over one trace in one decode pass, in input order.
+def run_policies(trace: AttentionTrace, configs: Iterable[PolicyConfig]) -> list[np.ndarray]:
+    """Run every config over one trace in one pass; one ``evicted_at`` per config, in order.
 
-    Each record equals what a run of its config alone gives, bit for bit.
-    The fill is shared: it runs once, and a cell at cache size k starts
-    from its state after step k (cells at budget >= n end there). The
-    cells that share a k then step in lockstep, one budget group at a
-    time (see the module docstring).
+    Each schedule equals what a run of its config alone gives, bit for bit.
+    A cell at budget >= n never evicts. The fill is shared: it runs once,
+    and a cell at cache size k < n starts from its state after step k. The
+    cells that share a k then step in lockstep, one budget group at a time
+    (see the module docstring).
     """
     n, keys, queries = trace.n, trace.k, trace.q
     configs = list(configs)
     sizes = [min(p.budget, n) for p in configs]
-    records: list[SimulationRecord | None] = [None] * len(configs)
-    fill_score = np.zeros(max(sizes, default=0) + 1)
+    schedules = [np.full(n, n + 1, dtype=np.int64) if size == n else None for size in sizes]
+    evicting = sorted(set(sizes) - {n})
+    fill_score = np.zeros(max(evicting, default=0) + 1)
     fill_steps = 0  # the steps the fill has run
-    for k in sorted(set(sizes)):
+    for k in evicting:
         # filling: step i writes token i into slot i - 1, so the cached keys are keys[:i]
         for i in range(fill_steps + 1, k + 1):
             fill_score[:i] += _softmax(keys[:i] @ queries[i - 1])
         fill_steps = k
         lanes = [c for c, size in enumerate(sizes) if size == k]
-        if k == n:
-            for c in lanes:
-                records[c] = _record(configs[c], n, np.arange(1, k + 1), fill_score[:k],
-                                     np.full(n, n + 1, dtype=np.int64))
-        else:
-            group = _lockstep(trace, [configs[c] for c in lanes], fill_score[:k + 1])
-            for c, record in zip(lanes, group):
-                records[c] = record
-    return records
+        for c, evicted_at in zip(lanes, _lockstep(trace, [configs[c] for c in lanes], fill_score[:k + 1])):
+            schedules[c] = evicted_at
+    return schedules
 
 
-def _lockstep(trace: AttentionTrace, configs: list[PolicyConfig], filled: np.ndarray) -> list[SimulationRecord]:
+def _lockstep(trace: AttentionTrace, configs: list[PolicyConfig], filled: np.ndarray) -> list[np.ndarray]:
     """Decode steps k + 1..n for cells at one cache size k < n, in lockstep.
 
     ``filled`` holds the accumulated scores after step k of the fill (the
@@ -330,7 +301,4 @@ def _lockstep(trace: AttentionTrace, configs: list[PolicyConfig], filled: np.nda
                 lane_keys[v] = lane_keys[k]
                 tok[v] = i
                 score[v] = score[k]
-    return [
-        _record(policy, n, tok[:k], score[:k], evicted_at)
-        for policy, _, tok, _, score, evicted_at in lanes
-    ]
+    return [lane[-1] for lane in lanes]

@@ -22,8 +22,9 @@ errors and the two pattern predicates, so a bug in library attention or
 metrics cannot reach both sides of an equivalence test. It records its own
 per-step :class:`Transition` list and replays its cached sets from that, not
 from the engine's ``evicted_at``. The tests require the engine's
-``evicted_at`` and scores to match it bit for bit and the blocked metrics to
-match it within a tolerance fixed by the dtype; nothing under ``src/``
+``evicted_at``, and the scores that each of its decisions sees, to match it
+bit for bit, and the blocked metrics and the profile's full-attention scores
+to match it within tolerances fixed by the dtype; nothing under ``src/``
 imports it.
 """
 

@@ -22,14 +22,14 @@ def _cached_set(evicted_at, i):
 
 def test_swap_refusing_incoming_changes_nothing():
     # the greedy without a recency window refuses low-scored incoming tokens
-    rec = _run("h2_only", budget=4)
-    tokens = np.arange(1, rec.n + 1)
-    refused = tokens[rec.evicted_at == tokens]
+    evicted_at = _run("h2_only", budget=4)
+    tokens = np.arange(1, len(evicted_at) + 1)
+    refused = tokens[evicted_at == tokens]
     assert refused.size
     for t in refused.tolist():
         # no cached token leaves at a refused step, so the cached set stands
-        assert np.count_nonzero(rec.evicted_at == t) == 1
-        assert _cached_set(rec.evicted_at, t) == _cached_set(rec.evicted_at, t - 1)
+        assert np.count_nonzero(evicted_at == t) == 1
+        assert _cached_set(evicted_at, t) == _cached_set(evicted_at, t - 1)
 
 
 # --- quantization -------------------------------------------------------------

@@ -243,6 +243,19 @@ def test_compare_deduplicates_budgets_on_the_resolved_budget(tmp_path, capsys):
     assert "duplicate --budgets entries removed" in capsys.readouterr().err
 
 
+def test_compare_default_grid_deduplicates_resolved_budgets(tmp_path):
+    # below n = 30, 4% and 10% both resolve to the minimum budget of 2: one cell
+    trace = _gen(tmp_path, n=24)
+    out = tmp_path / "cmp"
+    assert run("compare", "--trace", trace, "--policies", "h2o,local", "--out-dir", out) == 0
+    rows = _read_csv(out / "compare.csv")
+    assert [(r["policy"], r["budget_spec"], r["budget"]) for r in rows] == [
+        (policy, spec, budget)
+        for policy in ("h2o", "local")
+        for spec, budget in (("4%", "2"), ("20%", "4"), ("60%", "14"), ("100%", "24"))
+    ]
+
+
 def test_compare_empty_budget_list_is_config_error(tmp_path):
     # an explicit empty list is not the default grid
     trace = _gen(tmp_path, n=24)

@@ -44,8 +44,7 @@ def test_trace_sparsity_rejects_threshold_outside_unit_interval(frac):
 
 def test_full_policy_has_null_deviation():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=20, d=4, seed=1))
-    rec = kl.run_policy(t, kl.PolicyConfig(kind="topk", budget=20))
-    rep = kl.retained_mass(t, rec)
+    rep = kl.deviation_reports(t, [kl.run_policy(t, kl.PolicyConfig(kind="topk", budget=20))])[0]
     np.testing.assert_allclose(rep.retained, 1.0, atol=1e-12)
     np.testing.assert_allclose(rep.tv, 0.0, atol=1e-12)
     assert rep.mean_retained == pytest.approx(1.0)
@@ -53,8 +52,7 @@ def test_full_policy_has_null_deviation():
 
 def test_singleton_cache_retained_mass_is_self_weight():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=12, d=4, seed=5))
-    rec = kl.run_policy(t, kl.PolicyConfig(kind="local", budget=1))
-    rep = kl.retained_mass(t, rec)
+    rep = kl.deviation_reports(t, [kl.run_policy(t, kl.PolicyConfig(kind="local", budget=1))])[0]
     for i in range(1, 13):
         self_weight = ref.softmax_over(t, i, np.arange(1, i + 1))[-1]
         assert rep.retained[i - 1] == pytest.approx(self_weight, abs=1e-12)
@@ -65,9 +63,9 @@ def test_singleton_cache_retained_mass_is_self_weight():
 def test_trace_mismatch_detected():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=12, d=4, seed=5))
     other = kl.generate_trace(kl.SyntheticTraceSpec(n=10, d=4, seed=5))
-    rec = kl.run_policy(t, kl.PolicyConfig(kind="local", budget=3))
+    evicted_at = kl.run_policy(t, kl.PolicyConfig(kind="local", budget=3))
     with pytest.raises(TraceMismatch):
-        kl.retained_mass(other, rec)
+        kl.deviation_reports(other, [evicted_at])
 
 
 def test_h2o_beats_local_on_power_law_trace():
@@ -75,8 +73,8 @@ def test_h2o_beats_local_on_power_law_trace():
         kl.SyntheticTraceSpec(n=256, d=16, kind="power-law-keys", power_exponent=1.0, seed=3)
     )
     k = 51
-    h2o = kl.retained_mass(t, kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=k)))
-    loc = kl.retained_mass(t, kl.run_policy(t, kl.PolicyConfig(kind="local", budget=k)))
+    h2o, loc = kl.deviation_reports(t, kl.run_policies(t, [kl.PolicyConfig(kind="h2o", budget=k),
+                                                             kl.PolicyConfig(kind="local", budget=k)]))
     assert h2o.mean_retained > loc.mean_retained
 
 
@@ -84,23 +82,44 @@ def test_retained_mass_never_negative():
     # off-cache exact mass rounds above 1 at step 4 of this run (1 - off
     # gives -2.2e-16 there); the retained mass is clamped to 0
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=4, d=2, kind="power-law-keys", seed=17))
-    rep = kl.retained_mass(t, kl.run_policy(t, kl.PolicyConfig(kind="local", budget=1)))
+    rep = kl.deviation_reports(t, [kl.run_policy(t, kl.PolicyConfig(kind="local", budget=1))])[0]
     assert (rep.retained >= 0.0).all()
     assert rep.retained[3] == 0.0
 
 
 # --- heavy-hitter profile ----------------------------------------------------------
 
+# The profile sums GEMM blocks of exact weights where a decode adds one gemv
+# softmax per step, so a token's score may differ from the decode's in the
+# last bits, by up to a few ulps per step it accumulates over; bounded here
+# from the dtype and n alone, absolute on each token's score (a relative
+# bound fails on tiny scores).
+def profile_atol(n):
+    return 64 * n * np.finfo(np.float64).eps
+
+
 def _full_scores(trace):
+    """Full attention's accumulated scores, from the oracle's decode."""
     # a window as long as the trace evicts nothing
-    rec = kl.run_policy(trace, kl.PolicyConfig(kind="local", budget=trace.n))
-    return rec.final_scores
+    return ref.run_policy(trace, kl.PolicyConfig(kind="local", budget=trace.n)).final_scores
+
+
+@pytest.mark.parametrize("n", [1, 257])  # 257: three exact blocks, the last one partial
+@pytest.mark.parametrize("kind", TRACE_KINDS)
+def test_profile_scores_match_a_full_attention_decode(kind, n):
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=n, d=64, kind=kind, seed=6))
+    profile = kl.heavy_hitter_profile(t)
+    want = _full_scores(t)
+    assert sorted(profile.tokens.tolist()) == sorted(want) == list(range(1, n + 1))
+    # per token, not per rank: near-ties may order the ranks differently
+    gap = np.abs(profile.curve - [want[tok] for tok in profile.tokens.tolist()])
+    assert gap.max() <= profile_atol(n)
 
 
 def test_profile_uniform_trace_top_decile_near_ten_percent():
     # exactly uniform attention: all logits zero
     t = kl.AttentionTrace(q=np.zeros((128, 4)), k=np.zeros((128, 4)))
-    profile = kl.heavy_hitter_profile(_full_scores(t), 128)
+    profile = kl.heavy_hitter_profile(t)
     assert profile.top_shares[0.10] == pytest.approx(0.10, abs=0.02)
     assert profile.top_shares[1.0] == pytest.approx(1.0, abs=1e-9)
 
@@ -109,7 +128,7 @@ def test_profile_power_law_concentration():
     t = kl.generate_trace(
         kl.SyntheticTraceSpec(n=128, d=16, kind="power-law-keys", power_exponent=1.0, seed=0)
     )
-    profile = kl.heavy_hitter_profile(_full_scores(t), 128)
+    profile = kl.heavy_hitter_profile(t)
     assert profile.top_shares[0.10] > 0.5
     assert profile.curve.shape == (128,)
     assert (np.diff(profile.normalized) <= 1e-12).all()  # sorted descending
@@ -117,7 +136,7 @@ def test_profile_power_law_concentration():
 
 def test_profile_single_token():
     t = kl.AttentionTrace(q=np.ones((1, 2)), k=np.ones((1, 2)))
-    profile = kl.heavy_hitter_profile(_full_scores(t), 1)
+    profile = kl.heavy_hitter_profile(t)
     assert profile.top_shares[0.10] == pytest.approx(1.0)
 
 

@@ -126,8 +126,8 @@ EAGER_EXPORTS = {
     "attention": ["exact_blocks"],
     "errors": ["KVCacheLabError"],
     "metrics": ["DeviationReport", "HeavyHitterProfile", "QuantizationSpec", "SparsityReport",
-                "heavy_hitter_profile", "retained_mass", "trace_sparsity"],
-    "policies": ["POLICY_KINDS", "PolicyConfig", "SimulationRecord", "decide", "run_policies", "run_policy"],
+                "deviation_reports", "heavy_hitter_profile", "trace_sparsity"],
+    "policies": ["POLICY_KINDS", "PolicyConfig", "decide", "run_policies", "run_policy"],
     "trace": ["AttentionTrace", "SyntheticTraceSpec", "generate_trace", "load_trace", "save_trace"],
 }
 

@@ -1,7 +1,11 @@
 """Policy decisions and full decode simulations against reference oracles."""
 
 import ast
+import dataclasses
+from collections import defaultdict
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +14,11 @@ from hypothesis import strategies as st
 
 import kvcachelab as kl
 import reference_engine as ref
+from kvcachelab import policies
 from kvcachelab.errors import InconsistentState, InvalidSpec
 from kvcachelab.policies import decide, fixed_pattern_member, strided_pattern_member
 from kvcachelab.trace import TRACE_KINDS
+from test_metrics import profile_atol
 
 
 def _decide(cfg, cached, i, scores=None, weights=None):
@@ -191,38 +197,27 @@ def test_min_score_equals_literal_argmax_and_h_invariance():
 
 def test_full_run_matches_exact_attention():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=24, d=4, seed=2))
-    rec = kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=24))
-    # step i only reads the first i tokens, so what step i adds to the scores
-    # of a run over that prefix is exactly its prediction-time weights
-    prev = {}
-    for i in range(1, t.n + 1):
-        prefix = kl.AttentionTrace(q=t.q[:i], k=t.k[:i])
-        scores = kl.run_policy(prefix, kl.PolicyConfig(kind="h2o", budget=i)).final_scores
-        exact = ref.softmax_over(t, i, np.arange(1, i + 1))
-        assert sorted(scores) == list(range(1, i + 1))
-        for j, w in enumerate(exact, start=1):
-            assert scores[j] - prev.get(j, 0.0) == pytest.approx(w, abs=1e-12)
-        prev = scores
-    assert prev == rec.final_scores
+    evicted_at = kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=24))
     # nothing leaves, so S_i is every token up to i
-    assert (rec.evicted_at == t.n + 1).all()
-    rep = kl.retained_mass(t, rec)
+    assert (evicted_at == t.n + 1).all()
+    rep = kl.deviation_reports(t, [evicted_at])[0]
     assert (rep.retained == 1.0).all() and (rep.tv == 0.0).all()
+    # what full attention accumulates: token j's exact weights summed over steps j..n
+    exact = sum(np.pad(ref.softmax_over(t, i, np.arange(1, i + 1)), (0, t.n - i)) for i in range(1, t.n + 1))
+    profile = kl.heavy_hitter_profile(t)
+    np.testing.assert_allclose(profile.curve, exact[profile.tokens - 1], rtol=0, atol=profile_atol(t.n))
 
 
 def test_oversized_budget_behaves_like_full():
     # full attention is any kind at a budget that covers the trace
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=16, d=4, seed=3))
     for budget in (t.n, t.n + 4):
-        runs = [kl.run_policy(t, kl.PolicyConfig(kind=kind, budget=budget)) for kind in kl.POLICY_KINDS]
-        for rec in runs:
-            assert set(rec.final_scores) == set(range(1, t.n + 1))
-            assert (rec.evicted_at == t.n + 1).all()
-            assert rec.final_scores == runs[0].final_scores
+        for kind in kl.POLICY_KINDS:
+            assert (kl.run_policy(t, kl.PolicyConfig(kind=kind, budget=budget)) == t.n + 1).all()
 
 
-def _contract_violations(record, budget):
-    n, evicted_at = record.n, record.evicted_at
+def _contract_violations(evicted_at, budget):
+    n = len(evicted_at)
     tokens = np.arange(1, n + 1)
     # a token leaves at its own step (refused) or later, at most once
     bad = np.count_nonzero(evicted_at < tokens)
@@ -238,8 +233,8 @@ def _contract_violations(record, budget):
 def test_eviction_contract_all_policies_small():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=48, d=4, kind="power-law-keys", seed=9))
     for kind in kl.POLICY_KINDS:
-        rec = kl.run_policy(t, kl.PolicyConfig(kind=kind, budget=12))
-        assert _contract_violations(rec, 12) == 0
+        evicted_at = kl.run_policy(t, kl.PolicyConfig(kind=kind, budget=12))
+        assert _contract_violations(evicted_at, 12) == 0
 
 
 def test_h2o_never_evicts_recent_window():
@@ -248,11 +243,11 @@ def test_h2o_never_evicts_recent_window():
         for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
             cfg = kl.PolicyConfig(kind="h2o", budget=16, recent_frac=frac)
             r = cfg.recent_budget
-            rec = kl.run_policy(t, cfg)
+            evicted_at = kl.run_policy(t, cfg)
             # every victim at step i lies at or below i - r, outside the window i - r + 1..i
-            victims = np.flatnonzero(rec.evicted_at <= t.n) + 1
+            victims = np.flatnonzero(evicted_at <= t.n) + 1
             assert victims.size == t.n - 16
-            assert (victims <= rec.evicted_at[victims - 1] - r).all()
+            assert (victims <= evicted_at[victims - 1] - r).all()
 
 
 @pytest.mark.parametrize("kind", TRACE_KINDS)
@@ -263,13 +258,11 @@ def test_h2o_window_edges(kind, seed):
     # no window: h2o is the plain min-score greedy
     h2o = kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=k, recent_frac=0.0))
     h2_only = kl.run_policy(t, kl.PolicyConfig(kind="h2_only", budget=k))
-    np.testing.assert_array_equal(h2o.evicted_at, h2_only.evicted_at)
-    assert h2o.final_scores == h2_only.final_scores
+    np.testing.assert_array_equal(h2o, h2_only)
     # the window is the whole cache: only token i - k, the oldest, is a candidate
     h2o = kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=k, recent_frac=1.0))
     local = kl.run_policy(t, kl.PolicyConfig(kind="local", budget=k))
-    np.testing.assert_array_equal(h2o.evicted_at, local.evicted_at)
-    assert h2o.final_scores == local.final_scores
+    np.testing.assert_array_equal(h2o, local)
 
 
 def test_h2o_differs_from_h2_only_on_uniform_trace():
@@ -277,28 +270,35 @@ def test_h2o_differs_from_h2_only_on_uniform_trace():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=200, d=16, kind="uniform-gaussian", seed=1))
     h2o = kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=40))
     h2_only = kl.run_policy(t, kl.PolicyConfig(kind="h2_only", budget=40))
-    assert not np.array_equal(h2o.evicted_at, h2_only.evicted_at)
-    assert set(h2o.final_scores) != set(h2_only.final_scores)
+    assert not np.array_equal(h2o, h2_only)
+    # the final cached sets: the tokens never evicted
+    assert not np.array_equal(h2o == t.n + 1, h2_only == t.n + 1)
     # a refused token leaves at its own step
     tokens = np.arange(1, t.n + 1)
-    assert not (h2o.evicted_at == tokens).any()
-    assert (h2_only.evicted_at == tokens).any()
+    assert not (h2o == tokens).any()
+    assert (h2_only == tokens).any()
 
 
 def test_determinism():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=40, d=4, kind="power-law-keys", seed=8))
     cfg = kl.PolicyConfig(kind="h2o", budget=10)
-    a = kl.run_policy(t, cfg)
-    b = kl.run_policy(t, cfg)
-    np.testing.assert_array_equal(a.evicted_at, b.evicted_at)
-    assert a.final_scores == b.final_scores
+    with _engine_decisions() as first:
+        a = kl.run_policy(t, cfg)
+    with _engine_decisions() as second:
+        b = kl.run_policy(t, cfg)
+    np.testing.assert_array_equal(a, b)
+    assert first == second
 
 
 def test_scores_cover_exactly_tracked_tokens():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=40, d=4, kind="power-law-keys", seed=8))
-    rec = kl.run_policy(t, kl.PolicyConfig(kind="h2_only", budget=10))
-    # S_n: the tokens never evicted
-    assert set(rec.final_scores) == set((np.flatnonzero(rec.evicted_at == t.n + 1) + 1).tolist())
+    with _engine_decisions() as seen:
+        evicted_at = kl.run_policy(t, kl.PolicyConfig(kind="h2_only", budget=10))
+    assert len(seen) == t.n - 10
+    tokens = np.arange(1, t.n + 1)
+    for i, (_, scores) in enumerate(seen, start=11):
+        # step i attends S_{i-1} plus token i: the tokens t <= i still cached at step i
+        assert set(scores) == set(tokens[(tokens <= i) & (evicted_at >= i)].tolist())
 
 
 def test_h2o_dominates_local_stepwise_on_power_law():
@@ -308,8 +308,8 @@ def test_h2o_dominates_local_stepwise_on_power_law():
         kl.SyntheticTraceSpec(n=256, d=16, kind="power-law-keys", power_exponent=1.0, seed=0)
     )
     k = 51
-    h2o = kl.retained_mass(t, kl.run_policy(t, kl.PolicyConfig(kind="h2o", budget=k)))
-    loc = kl.retained_mass(t, kl.run_policy(t, kl.PolicyConfig(kind="local", budget=k)))
+    h2o, loc = kl.deviation_reports(t, kl.run_policies(t, [kl.PolicyConfig(kind="h2o", budget=k),
+                                                             kl.PolicyConfig(kind="local", budget=k)]))
     assert (h2o.retained >= loc.retained).mean() >= 0.9
 
 
@@ -358,6 +358,38 @@ def test_oracle_imports_only_types_errors_and_predicates():
 METRIC_ATOL = 64 * np.finfo(np.float64).eps
 
 
+@contextmanager
+def _decisions(module, scores_of):
+    """Record ``(policy, {token: score})`` at every call of ``module.decide`` in the block."""
+    calls = []
+    real = module.decide
+
+    def spy(policy, *args):
+        calls.append((policy, scores_of(*args)))
+        return real(policy, *args)
+
+    with mock.patch.object(module, "decide", spy):
+        yield calls
+
+
+def _engine_decisions():
+    # decide(policy, tokens, weights, scores), arrays in slot order with the incoming token last
+    return _decisions(policies, lambda tokens, weights, scores: dict(zip(tokens.tolist(), scores.tolist())))
+
+
+def _reference_decisions():
+    # decide(policy, scores, cache, weights, i); the oracle deletes the victim's score afterwards
+    return _decisions(ref, lambda scores, cache, weights, i: dict(scores))
+
+
+def _scores_seen(calls):
+    """The ``{token: score}`` of each decision, keyed by the id of the config that made it."""
+    cells = defaultdict(list)
+    for policy, scores in calls:
+        cells[id(policy)].append(scores)
+    return cells
+
+
 def _reference_evicted_at(record):
     """``evicted_at`` of a reference run, read off its events."""
     evicted_at = np.full(record.n, record.n + 1, dtype=np.int64)
@@ -368,12 +400,15 @@ def _reference_evicted_at(record):
 
 
 def _assert_matches_reference(t, cfg):
-    got = kl.run_policy(t, cfg)
-    want = ref.run_policy(t, cfg)
-    np.testing.assert_array_equal(got.evicted_at, _reference_evicted_at(want))
-    assert got.final_scores == want.final_scores
+    with _engine_decisions() as seen:
+        got = kl.run_policy(t, cfg)
+    with _reference_decisions() as want_seen:
+        want = ref.run_policy(t, cfg)
+    np.testing.assert_array_equal(got, _reference_evicted_at(want))
+    # every decision saw the oracle's accumulated scores, bit for bit
+    assert _scores_seen(seen) == _scores_seen(want_seen)
     retained, tv = ref.retained_mass(t, want)
-    rep = kl.retained_mass(t, got)
+    rep = kl.deviation_reports(t, [got])[0]
     # the metric clamps the retained mass into [0, 1]; TV is the reference's literal formula
     np.testing.assert_allclose(rep.retained, np.clip(retained, 0.0, 1.0), rtol=0, atol=METRIC_ATOL)
     np.testing.assert_allclose(rep.tv, tv, rtol=0, atol=METRIC_ATOL)
@@ -451,9 +486,10 @@ def _cell_grids(draw):
         min_size=1,
         max_size=4,
     ))
-    # repeat some configs: duplicate cells must not share state
+    # repeat some configs: duplicate cells must not share state; each repeat is
+    # its own object, so that the decision spy can tell the cells apart
     picks = draw(st.lists(st.integers(0, len(configs) - 1), min_size=1, max_size=6))
-    return spec, [configs[j] for j in picks]
+    return spec, [dataclasses.replace(configs[j]) for j in picks]
 
 
 @settings(max_examples=100, deadline=None)
@@ -461,22 +497,29 @@ def _cell_grids(draw):
 def test_run_policies_matches_reference_per_cell(grid):
     spec, configs = grid
     t = kl.generate_trace(spec)
-    records = kl.run_policies(t, configs)
-    assert [rec.config for rec in records] == configs
-    for cfg, got in zip(configs, records):
-        want = ref.run_policy(t, cfg)
-        np.testing.assert_array_equal(got.evicted_at, _reference_evicted_at(want))
-        assert got.final_scores == want.final_scores
+    with _engine_decisions() as seen:
+        schedules = kl.run_policies(t, configs)
+    assert len(schedules) == len(configs)
+    cells = _scores_seen(seen)
+    for cfg, got in zip(configs, schedules):
+        with _reference_decisions() as want_seen:
+            want = ref.run_policy(t, cfg)
+        np.testing.assert_array_equal(got, _reference_evicted_at(want))
+        assert cells[id(cfg)] == _scores_seen(want_seen)[id(cfg)]
 
 
 def test_run_policies_of_benchmark_grid_equal_single_runs(decode_shape_trace):
     # every kind at each budget of a compare grid: lanes of seven per cache size
     t = decode_shape_trace
     configs = [kl.PolicyConfig(kind=kind, budget=b) for b in (24, 120, 360, t.n) for kind in kl.POLICY_KINDS]
-    for cfg, got in zip(configs, kl.run_policies(t, configs)):
-        want = kl.run_policy(t, cfg)
-        np.testing.assert_array_equal(got.evicted_at, want.evicted_at)
-        assert got.final_scores == want.final_scores
+    with _engine_decisions() as seen:
+        schedules = kl.run_policies(t, configs)
+    cells = _scores_seen(seen)
+    for cfg, got in zip(configs, schedules):
+        with _engine_decisions() as alone:
+            want = kl.run_policy(t, cfg)
+        np.testing.assert_array_equal(got, want)
+        assert cells[id(cfg)] == _scores_seen(alone)[id(cfg)]
 
 
 def test_run_policies_of_no_configs_is_empty():
