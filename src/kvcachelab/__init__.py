@@ -29,8 +29,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "attention": ("exact_blocks",),
     "errors": ("KVCacheLabError",),
-    "metrics": ("DeviationReport", "HeavyHitterProfile", "QuantizationSpec", "SparsityReport",
-                "deviation_reports", "heavy_hitter_profile", "trace_sparsity"),
+    "metrics": ("DeviationReport", "HeavyHitterProfile", "deviation_reports", "heavy_hitter_profile", "trace_sparsity"),
     "policies": ("POLICY_KINDS", "PolicyConfig", "decide", "run_policies", "run_policy"),
     "trace": ("AttentionTrace", "SyntheticTraceSpec", "generate_trace", "load_trace", "save_trace"),
     "regression": None,

@@ -14,8 +14,8 @@ One executable, one subcommand per workflow:
 Every run writes a manifest JSON next to its outputs recording the fully
 resolved configuration; ``rerun`` replays a manifest and must reproduce the
 CSV outputs byte for byte. Exit codes: 0 success, 2 configuration error
-(a bad flag or manifest, or a spec the library rejects with ``InvalidSpec``),
-3 I/O error, 4 internal failure.
+(argparse's own usage errors, and ``InvalidSpec``: a bad flag value or
+manifest, or a spec the library rejects), 3 I/O error, 4 internal failure.
 
 Budgets accept an absolute count (``--budget 64``) or a fraction of the
 trace length (``--budget 20%``, floor-rounded, minimum 2). ``compare``
@@ -54,10 +54,6 @@ from .errors import InvalidSpec, KVCacheLabError, MalformedTrace, MaxIterationsE
 from .metrics import deviation_reports, heavy_hitter_profile, trace_sparsity
 from .policies import POLICY_KINDS, PolicyConfig, _floor_percent, run_policies, run_policy
 from .trace import TRACE_KINDS, SyntheticTraceSpec, generate_trace, load_trace, save_trace
-
-
-class UsageError(Exception):
-    """Configuration problem; maps to exit code 2."""
 
 
 _FLOATS = (float, np.floating)
@@ -102,9 +98,9 @@ def resolve_budget(spec: str, n: int) -> int:
             return max(2, _floor_percent(spec[:-1], n))
         value = int(spec)
     except ValueError:
-        raise UsageError(f"--budget {spec!r} is neither an integer nor a percentage") from None
+        raise InvalidSpec(f"--budget {spec!r} is neither an integer nor a percentage") from None
     if value < 1:
-        raise UsageError(f"--budget must be >= 1, got {value}")
+        raise InvalidSpec(f"--budget must be >= 1, got {value}")
     return value
 
 
@@ -189,7 +185,7 @@ def _distinct_items(text: str, flag: str, least: int, key=str) -> list[str]:
         first.setdefault(key(item), item)
     distinct = list(first.values())
     if len(distinct) < least:
-        raise UsageError(f"{flag} needs at least {least} distinct comma-separated entries")
+        raise InvalidSpec(f"{flag} needs at least {least} distinct comma-separated entries")
     if len(distinct) != len(items):
         print(f"warning: duplicate {flag} entries removed", file=sys.stderr)
     return distinct
@@ -202,8 +198,6 @@ def cmd_compare(args) -> list[str]:
     budgets = _distinct_items(args.budgets, "--budgets", 1, key=lambda b: resolve_budget(b, trace.n))
     cells = []
     for kind in policies:
-        if kind not in POLICY_KINDS:
-            raise UsageError(f"--policies contains unknown policy {kind!r}")
         for b in budgets:
             cells.append((b, _policy_from_args(kind, resolve_budget(b, trace.n), args)))
     reports = deviation_reports(trace, run_policies(trace, [policy for _, policy in cells]))
@@ -223,12 +217,12 @@ def cmd_compare(args) -> list[str]:
 
 def cmd_sparsity(args) -> list[str]:
     trace = load_trace(args.trace)
-    report = trace_sparsity(trace, threshold_frac=args.threshold_frac)
+    per_row = trace_sparsity(trace, threshold_frac=args.threshold_frac)
     out = _ensure_out_dir(args)
     path = out / "sparsity.csv"
-    write_csv(path, ["row", "sparsity"], [[i + 1, s] for i, s in enumerate(report.per_row)])
+    write_csv(path, ["row", "sparsity"], [[i + 1, s] for i, s in enumerate(per_row)])
     summary = out / "sparsity.summary.json"
-    write_json(summary, {"mean_sparsity": report.mean, "threshold_frac": report.threshold_frac})
+    write_json(summary, {"mean_sparsity": float(per_row.mean()), "threshold_frac": args.threshold_frac})
     return [str(path), str(summary)]
 
 
@@ -418,27 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _args_config(args) -> dict:
-    skip = {"func", "command", "out_dir"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
 def _dispatch(args, argv_command: str) -> int:
     started = time.time()
     outputs = args.func(args)
     out_dir = Path(getattr(args, "out_dir", "./out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _args_config(args)
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out_dir")}
     inputs = [str(args.trace)] if getattr(args, "trace", None) else []
-    write_manifest(
-        out_dir,
-        argv_command,
-        config,
-        inputs,
-        outputs,
-        seed=getattr(args, "seed", None),
-        started=started,
-    )
+    write_manifest(out_dir, argv_command, config, inputs, outputs, seed=getattr(args, "seed", None), started=started)
     return 0
 
 
@@ -446,17 +427,17 @@ def _rerun(args) -> int:
     try:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise UsageError(f"manifest {args.manifest}: {exc}") from None
+        raise InvalidSpec(f"manifest {args.manifest}: {exc}") from None
     if not isinstance(manifest, dict):
-        raise UsageError(f"manifest {args.manifest}: top level must be a JSON object")
+        raise InvalidSpec(f"manifest {args.manifest}: top level must be a JSON object")
     command = manifest.get("command")
     config = manifest.get("config", {})
     if not isinstance(command, str):
-        raise UsageError(f"manifest {args.manifest}: 'command' must be a string")
+        raise InvalidSpec(f"manifest {args.manifest}: 'command' must be a string")
     if not isinstance(config, dict):
-        raise UsageError(f"manifest {args.manifest}: 'config' must be a JSON object")
+        raise InvalidSpec(f"manifest {args.manifest}: 'config' must be a JSON object")
     if command == "rerun":  # a replay always records the command it replayed
-        raise UsageError(f"manifest {args.manifest}: 'command' cannot be 'rerun'")
+        raise InvalidSpec(f"manifest {args.manifest}: 'command' cannot be 'rerun'")
     parser = build_parser()
     argv = [command]
     for key, value in config.items():
@@ -469,7 +450,7 @@ def _rerun(args) -> int:
     try:
         replay = parser.parse_args(argv)
     except SystemExit:  # argparse has already printed why
-        raise UsageError(f"manifest {args.manifest}: not a valid {command!r} command line") from None
+        raise InvalidSpec(f"manifest {args.manifest}: not a valid {command!r} command line") from None
     return _dispatch(replay, command)
 
 
@@ -483,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "rerun":
             return _rerun(args)
         return _dispatch(args, args.command)
-    except (UsageError, InvalidSpec) as exc:
+    except InvalidSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, MalformedTrace) as exc:

@@ -19,9 +19,6 @@ number of runs over the same trace; :func:`trace_sparsity` reads the same
 blocks. So does :func:`heavy_hitter_profile`: under full attention no token
 is ever evicted, so the scores a decode accumulates are the column sums of
 the row-normalised exact map, and the profile runs no decode.
-
-:class:`QuantizationSpec` is the per-slot key quantizer that a quantized
-cache would round its keys through.
 """
 
 from __future__ import annotations
@@ -38,29 +35,15 @@ from .trace import AttentionTrace
 
 # --- attention sparsity ----------------------------------------------------
 
-@dataclass(frozen=True)
-class SparsityReport:
-    """Per-row sparsity of a trace's exact attention matrix.
-
-    Rows are padded to full length n, so the causally masked upper triangle
-    counts as sparse — matching how sparsity of a square attention map is
-    usually read off.
-    """
-
-    per_row: np.ndarray
-    threshold_frac: float
-
-    @property
-    def mean(self) -> float:
-        return float(self.per_row.mean())
-
-
-def trace_sparsity(trace: AttentionTrace, threshold_frac: float = 0.01) -> SparsityReport:
+def trace_sparsity(trace: AttentionTrace, threshold_frac: float = 0.01) -> np.ndarray:
     """Sparsity of each padded row of the exact attention map.
 
-    A block row's largest entry is 1, so its entries below the threshold
-    are those below ``threshold_frac``; the future entries (exact zeros)
-    and the padding columns beyond the block always are.
+    Rows are padded to full length n, so the causally masked upper triangle
+    counts as sparse, matching how sparsity of a square attention map is
+    usually read off. A block row's largest entry is 1, so its entries
+    below the threshold are those below ``threshold_frac``; the future
+    entries (exact zeros) and the padding columns beyond the block always
+    are.
     """
     if not 0.0 < threshold_frac < 1.0:
         raise InvalidSpec("threshold_frac must lie in (0, 1)")
@@ -69,7 +52,7 @@ def trace_sparsity(trace: AttentionTrace, threshold_frac: float = 0.01) -> Spars
     for lo, e in exact_blocks(trace):
         hi = e.shape[1]
         fracs[lo:hi] = ((e < threshold_frac).sum(axis=1) + (n - hi)) / n
-    return SparsityReport(per_row=fracs, threshold_frac=threshold_frac)
+    return fracs
 
 
 # --- deviation from full attention ---------------------------------------------
@@ -172,29 +155,3 @@ def heavy_hitter_profile(trace: AttentionTrace) -> HeavyHitterProfile:
     return HeavyHitterProfile(
         tokens=tokens_sorted, curve=curve, normalized=norm_sorted, top_shares=shares
     )
-
-
-# --- key quantization ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuantizationSpec:
-    """Per-slot symmetric uniform quantizer: scale = max|entry| / (2^(b-1) - 1)."""
-
-    bits: int = 8
-
-    def __post_init__(self):
-        if self.bits not in (4, 8):
-            raise InvalidSpec(f"bits must be 4 or 8, got {self.bits}")
-
-    @property
-    def levels(self) -> int:
-        return 2 ** (self.bits - 1) - 1
-
-    def roundtrip(self, x: np.ndarray) -> np.ndarray:
-        """dequantize(quantize(x)); differs from x by at most scale/2 per entry."""
-        x = np.asarray(x, dtype=np.float64)
-        scale = float(np.abs(x).max()) / self.levels if x.size else 0.0
-        if scale == 0.0:
-            return x.copy()
-        q = np.clip(np.rint(x / scale), -self.levels, self.levels)
-        return q * scale

@@ -138,8 +138,8 @@ class PolicyConfig:
             raise InvalidSpec("recent_frac must lie in [0, 1]")
         if self.sink < 0:
             raise InvalidSpec("sink must be >= 0")
-        if self.stride < 1:
-            raise InvalidSpec("stride must be >= 1")
+        if not 1 <= self.stride < 2**63:  # decide does int64 arithmetic with it
+            raise InvalidSpec("stride must lie in [1, 2**63)")
 
     @cached_property  # decide reads it every step; it writes __dict__, so frozen is fine
     def recent_budget(self) -> int:

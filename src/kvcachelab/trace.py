@@ -7,15 +7,16 @@ construction.
 
 File format
 -----------
-Binary (default): magic bytes ``KVT1``, little-endian u32 ``n``, u32 ``d``,
-then ``n*d`` float64 Q entries row-major, then ``n*d`` float64 K entries
-row-major. JSON alternative: ``{"n": ..., "d": ..., "Q": [[...]], "K": [[...]]}``
-with integer ``n`` and ``d`` and JSON numbers (not strings or booleans) as entries.
-The loader auto-detects the format by the magic bytes. Both formats
-round-trip matrices bit-exactly (JSON uses ``repr`` floats, which Python
-guarantees to round-trip). The JSON loader walks the top-level object itself
-and reads the ``Q`` and ``K`` blocks one row at a time, so a load peaks at
-about twice the file's size: its bytes and their decoded text.
+Binary: magic bytes ``KVT1``, little-endian u32 ``n``, u32 ``d``, then
+``n*d`` float64 Q entries row-major, then ``n*d`` float64 K entries
+row-major. JSON: ``{"n": ..., "d": ..., "Q": [[...]], "K": [[...]]}`` with
+integer ``n`` and ``d`` and JSON numbers (not strings or booleans) as
+entries. The ``.json`` extension selects JSON for :func:`save_trace`; the
+loader detects the format by the magic bytes. Both formats round-trip
+matrices bit-exactly (JSON uses ``repr`` floats, which Python guarantees to
+round-trip). The JSON loader walks the top-level object itself and reads
+the ``Q`` and ``K`` blocks one row at a time, so a load peaks at about
+twice the file's size: its bytes and their decoded text.
 
 Synthetic generators stand in for traces captured from a real model. The
 ``power-law-keys`` kind scales key norms like ``rank**-exponent`` so a small
@@ -61,7 +62,8 @@ class AttentionTrace:
     """Per-head query/key matrices, shape (n, d) each.
 
     Invariants: Q and K share the same shape, n >= 1, d >= 1, all entries
-    finite.
+    finite, and ``2 * d * max|Q| * max|K|`` within float64's range, which
+    bounds every partial sum of a logit and each row's shift by its maximum.
     """
 
     q: np.ndarray
@@ -76,6 +78,10 @@ class AttentionTrace:
             raise InvalidTrace(f"trace needs n >= 1 and d >= 1, got {q.shape}")
         if not np.isfinite(q).all() or not np.isfinite(k).all():
             raise InvalidTrace("trace contains non-finite entries")
+        # Python floats (no temporary array, no numpy warning); |Q| * |K| first, as 2 * d * |Q| may overflow
+        q_max, k_max = (max(float(a.max()), -float(a.min())) for a in (q, k))
+        if q_max * k_max * (2 * q.shape[1]) > np.finfo(np.float64).max:
+            raise InvalidTrace("logits may overflow: 2 * d * max|Q| * max|K| exceeds float64's range")
         q = q.copy()
         k = k.copy()
         q.setflags(write=False)
@@ -172,12 +178,10 @@ def generate_trace(spec: SyntheticTraceSpec) -> AttentionTrace:
     return AttentionTrace(q=q, k=k)
 
 
-def save_trace(trace: AttentionTrace, path, fmt: str | None = None) -> None:
-    """Write a trace; ``fmt`` is "binary" or "json" (default: by extension)."""
+def save_trace(trace: AttentionTrace, path) -> None:
+    """Write a trace: JSON when ``path`` ends in ``.json``, binary otherwise."""
     path = str(path)
-    if fmt is None:
-        fmt = "json" if path.endswith(".json") else "binary"
-    if fmt == "json":
+    if path.endswith(".json"):
         # json emits floats via repr (shortest round-trip), so matrices
         # survive bit-exactly; traces never hold NaN/Inf by invariant.
         # One dumps per block: json.dump streams the document through the
@@ -190,13 +194,11 @@ def save_trace(trace: AttentionTrace, path, fmt: str | None = None) -> None:
             fh.write(', "K": ')
             fh.write(json.dumps(trace.k.tolist()))
             fh.write("}")
-    elif fmt == "binary":
+    else:
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, trace.n, trace.d))
             fh.write(np.ascontiguousarray(trace.q, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(trace.k, dtype="<f8").tobytes())
-    else:
-        raise InvalidSpec(f"unknown trace format {fmt!r}")
 
 
 # JSON numbers parse to exactly these types; bool, a subclass of int, is excluded
@@ -278,7 +280,8 @@ def _json_members(text: str) -> dict:
     return members
 
 
-def _json_trace(members: dict, path: str) -> AttentionTrace:
+def _json_blocks(members: dict, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """A JSON document's Q and K blocks, checked against its ``n`` and ``d``."""
     missing = [key for key in ("n", "d", "Q", "K") if key not in members]
     if missing:
         raise MalformedTrace(f"{path}: JSON trace lacks {', '.join(missing)}")
@@ -295,10 +298,28 @@ def _json_trace(members: dict, path: str) -> AttentionTrace:
             raise MalformedTrace(
                 f"{path}: {name} block has shape {m.shape}, header says ({n}, {d})"
             )
-    try:
-        return AttentionTrace(q=members["Q"], k=members["K"])
-    except InvalidTrace as exc:
-        raise MalformedTrace(f"{path}: {exc}") from None
+    return members["Q"], members["K"]
+
+
+def _binary_blocks(raw: bytes, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """A KVT1 file's Q and K blocks, checked against its header and for non-finite entries."""
+    if len(raw) < _HEADER.size:
+        raise MalformedTrace(f"{path}: truncated header", byte_offset=len(raw))
+    _, n, d = _HEADER.unpack_from(raw)
+    if n < 1 or d < 1:
+        raise MalformedTrace(f"{path}: header claims n={n}, d={d}", byte_offset=4)
+    need = _HEADER.size + 2 * n * d * 8
+    if len(raw) != need:
+        raise MalformedTrace(
+            f"{path}: expected {need} bytes for n={n}, d={d}, found {len(raw)}",
+            byte_offset=min(len(raw), need),
+        )
+    flat = np.frombuffer(raw, dtype="<f8", count=2 * n * d, offset=_HEADER.size)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        off = _HEADER.size + int(bad[0]) * 8
+        raise MalformedTrace(f"{path}: non-finite entry", byte_offset=off)
+    return flat[: n * d].reshape(n, d), flat[n * d :].reshape(n, d)
 
 
 def load_trace(path) -> AttentionTrace:
@@ -319,23 +340,10 @@ def load_trace(path) -> AttentionTrace:
             # convert; RecursionError: nesting deeper than the parser's stack
             raise MalformedTrace(f"{path}: neither KVT1 binary nor a JSON object ({exc})") from None
         del text
-        return _json_trace(members, path)
-    if len(raw) < _HEADER.size:
-        raise MalformedTrace(f"{path}: truncated header", byte_offset=len(raw))
-    _, n, d = _HEADER.unpack_from(raw)
-    if n < 1 or d < 1:
-        raise MalformedTrace(f"{path}: header claims n={n}, d={d}", byte_offset=4)
-    need = _HEADER.size + 2 * n * d * 8
-    if len(raw) != need:
-        raise MalformedTrace(
-            f"{path}: expected {need} bytes for n={n}, d={d}, found {len(raw)}",
-            byte_offset=min(len(raw), need),
-        )
-    flat = np.frombuffer(raw, dtype="<f8", count=2 * n * d, offset=_HEADER.size)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        off = _HEADER.size + int(bad[0]) * 8
-        raise MalformedTrace(f"{path}: non-finite entry", byte_offset=off)
-    q = flat[: n * d].reshape(n, d)
-    k = flat[n * d :].reshape(n, d)
-    return AttentionTrace(q=q, k=k)
+        q, k = _json_blocks(members, path)
+    else:
+        q, k = _binary_blocks(raw, path)
+    try:
+        return AttentionTrace(q=q, k=k)
+    except InvalidTrace as exc:  # the blocks parsed, but their values break an invariant
+        raise MalformedTrace(f"{path}: {exc}") from None

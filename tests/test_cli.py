@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import kvcachelab as kl
 import reference_engine as ref
 from kvcachelab.cli import build_parser, main, resolve_budget, write_csv
+from kvcachelab.errors import InvalidSpec
 from kvcachelab.trace import TRACE_KINDS
 from test_trace import MALFORMED_JSON, dominant_key_trace
 
@@ -43,7 +45,7 @@ def test_budget_flag_forms():
             assert resolve_budget(f"{pct}%", n) == pct * n // 100
     assert resolve_budget("0.29%", 10000) == 29
     assert resolve_budget("12.5%", 80) == 10
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidSpec):
         resolve_budget("zap", 100)
 
 
@@ -321,6 +323,25 @@ def test_malformed_json_trace_is_io_error(tmp_path, text):
     assert run("simulate", "--trace", path, "--out-dir", tmp_path / "o") == 3
 
 
+# 2 * d * max|Q| * max|K| beyond float64's range: token 1's logit at step 1 overflows
+_OVERFLOW_Q = [[1e200, 0.0], [1e200, 0.0], [1.0, 0.0]]
+_OVERFLOW_K = [[1e200, 0.0], [1.0, 1.0], [2.0, 0.0]]
+
+
+@pytest.mark.parametrize("name", ["t.kvt", "t.json"])
+def test_trace_whose_logits_overflow_is_io_error(tmp_path, name):
+    path = tmp_path / name
+    if name.endswith(".json"):
+        path.write_text(json.dumps({"n": 3, "d": 2, "Q": _OVERFLOW_Q, "K": _OVERFLOW_K}))
+    else:
+        blocks = np.array([_OVERFLOW_Q, _OVERFLOW_K], dtype="<f8")
+        path.write_bytes(b"KVT1" + struct.pack("<II", 3, 2) + blocks.tobytes())
+    for argv in (("simulate",), ("compare",), ("profile",), ("sparsity",)):
+        out = tmp_path / argv[0]
+        assert run(*argv, "--trace", path, "--out-dir", out) == 3
+        assert not any(out.glob("*.csv"))
+
+
 def test_profile_outputs_shares(tmp_path):
     trace = _gen(tmp_path, n=64)
     out = tmp_path / "prof"
@@ -394,10 +415,12 @@ def test_rerun_bad_manifest_is_config_error(tmp_path, manifest):
     ("regress", "--tol", "nan"),
     ("regress", "--tol", "-1"),
     ("gen-trace", "--n", "8", "--d", "4", "--kind", "power-law-keys", "--exponent", "nan"),
+    ("simulate", "--policy", "sparse_strided", "--stride", "99999999999999999999999"),
+    ("compare", "--policies", "h2o,sparse_fixed", "--stride", "99999999999999999999999"),
 ], ids=["n0", "negative-exponent", "n-below-d", "n0-d0", "d0", "negative-eps", "full-below-n",
         "compare-full", "gen-trace-negative-seed", "submodular-negative-seed",
         "regress-negative-seed", "negative-instances", "nan-eps", "inf-eps", "nan-tol",
-        "negative-tol", "nan-exponent"])
+        "negative-tol", "nan-exponent", "simulate-int64-stride", "compare-int64-stride"])
 def test_library_spec_errors_are_config_errors(tmp_path, argv):
     if argv[0] == "gen-trace":
         argv += ("--out", tmp_path / "t.kvt")

@@ -20,10 +20,9 @@ def _one_hot_trace(n, gain=10.0):
 
 def test_trace_sparsity_one_hot_rows():
     n = 64
-    report = trace_sparsity(_one_hot_trace(n), threshold_frac=0.01)
+    per_row = trace_sparsity(_one_hot_trace(n), threshold_frac=0.01)
     # every padded row has n-1 entries below threshold out of n
-    np.testing.assert_allclose(report.per_row, (n - 1) / n, atol=1e-12)
-    assert report.mean == pytest.approx((n - 1) / n)
+    np.testing.assert_allclose(per_row, (n - 1) / n, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", TRACE_KINDS)
@@ -31,7 +30,7 @@ def test_trace_sparsity_matches_row_loop(kind):
     # n = 257 spans three exact blocks, the last one partial
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=257, d=16, kind=kind, seed=4))
     for frac in (0.01, 0.2):
-        assert np.array_equal(trace_sparsity(t, frac).per_row, ref.trace_sparsity(t, frac))
+        assert np.array_equal(trace_sparsity(t, frac), ref.trace_sparsity(t, frac))
 
 
 @pytest.mark.parametrize("frac", [0.0, 1.0, 1.5])

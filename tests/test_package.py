@@ -57,6 +57,28 @@ def test_every_error_class_is_raised():
     assert sorted(declared - raised) == []
 
 
+def _read_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_export_is_used_by_the_library():
+    # a public name that no library module reads is code that no command runs
+    exported = {name for names in kvcachelab._EXPORTS.values() if names for name in names}
+    for lab in ("regression", "submodular"):
+        exported.update(importlib.import_module(f"kvcachelab.{lab}").__all__)
+    used = {
+        name
+        for path in MODULES
+        if path.name != "__init__.py"
+        for name in _read_names(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert sorted(exported - used) == []
+
+
 def test_cli_import_leaves_the_theory_lab_unloaded():
     # the decode commands never use the lab, so starting the CLI must not load it
     code = (
@@ -125,8 +147,7 @@ def test_package_import_loads_no_numpy_and_no_submodule():
 EAGER_EXPORTS = {
     "attention": ["exact_blocks"],
     "errors": ["KVCacheLabError"],
-    "metrics": ["DeviationReport", "HeavyHitterProfile", "QuantizationSpec", "SparsityReport",
-                "deviation_reports", "heavy_hitter_profile", "trace_sparsity"],
+    "metrics": ["DeviationReport", "HeavyHitterProfile", "deviation_reports", "heavy_hitter_profile", "trace_sparsity"],
     "policies": ["POLICY_KINDS", "PolicyConfig", "decide", "run_policies", "run_policy"],
     "trace": ["AttentionTrace", "SyntheticTraceSpec", "generate_trace", "load_trace", "save_trace"],
 }

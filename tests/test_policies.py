@@ -279,6 +279,24 @@ def test_h2o_differs_from_h2_only_on_uniform_trace():
     assert (h2_only == tokens).any()
 
 
+def _cached_set(evicted_at, i):
+    """S_i: the tokens t <= i with ``i < evicted_at[t - 1]``."""
+    return frozenset((np.flatnonzero(evicted_at[:i] > i) + 1).tolist())
+
+
+def test_refusing_the_incoming_token_keeps_the_cached_set():
+    # the greedy without a recency window refuses low-scored incoming tokens
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=24, d=4, kind="power-law-keys", seed=3))
+    evicted_at = kl.run_policy(t, kl.PolicyConfig(kind="h2_only", budget=4))
+    tokens = np.arange(1, len(evicted_at) + 1)
+    refused = tokens[evicted_at == tokens]
+    assert refused.size
+    for i in refused.tolist():
+        # no cached token leaves at a refused step, so the cached set stands
+        assert np.count_nonzero(evicted_at == i) == 1
+        assert _cached_set(evicted_at, i) == _cached_set(evicted_at, i - 1)
+
+
 def test_determinism():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=40, d=4, kind="power-law-keys", seed=8))
     cfg = kl.PolicyConfig(kind="h2o", budget=10)
@@ -320,6 +338,10 @@ def test_config_validation():
         kl.PolicyConfig(kind="h2o", budget=0)
     with pytest.raises(InvalidSpec):
         kl.PolicyConfig(kind="h2o", budget=4, recent_frac=1.5)
+    for stride in (0, 2**63):  # decide's pattern arithmetic is int64
+        with pytest.raises(InvalidSpec):
+            kl.PolicyConfig(kind="sparse_strided", budget=4, stride=stride)
+    assert kl.PolicyConfig(kind="sparse_fixed", budget=4, stride=2**63 - 1).stride == 2**63 - 1
     assert kl.PolicyConfig(kind="h2o", budget=5, recent_frac=0.5).recent_budget == 2
 
 

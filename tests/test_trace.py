@@ -99,15 +99,24 @@ def test_malformed_json_is_malformed_trace(tmp_path, text):
 
 
 def test_json_file_bytes_are_pinned(tmp_path):
+    # 2 * d * max|Q| * max|K| is float64's largest value exactly: the edge of the logit bound
     q = [[0.1, -0.0], [5e-324, 1.7976931348623157e308]]
-    t = kl.AttentionTrace(q=np.array(q), k=np.array(q[::-1]))
+    k = [[5e-324, 0.25], [0.1, -0.0]]
+    t = kl.AttentionTrace(q=np.array(q), k=np.array(k))
     path = tmp_path / "t.json"
     kl.save_trace(t, path)
     assert path.read_text(encoding="utf-8") == (
         '{"n": 2, "d": 2, "Q": [[0.1, -0.0], [5e-324, 1.7976931348623157e+308]], '
-        '"K": [[5e-324, 1.7976931348623157e+308], [0.1, -0.0]]}'
+        '"K": [[5e-324, 0.25], [0.1, -0.0]]}'
     )
     assert kl.load_trace(path) == t
+    # with float64's extremes in both blocks a logit overflows
+    path.write_text(
+        '{"n": 2, "d": 2, "Q": [[0.1, -0.0], [5e-324, 1.7976931348623157e+308]], '
+        '"K": [[5e-324, 1.7976931348623157e+308], [0.1, -0.0]]}'
+    )
+    with pytest.raises(MalformedTrace):
+        kl.load_trace(path)
     # the hand-written frame around the blocks writes json.dumps's bytes at any shape
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=12, d=3, seed=1))
     kl.save_trace(t, path)
@@ -129,13 +138,23 @@ def test_json_load_peak_memory_stays_below_2_1_file_sizes(tmp_path):
     assert peak < 2.1 * path.stat().st_size
 
 
+def _over_logit_bound(q: np.ndarray, k: np.ndarray) -> bool:
+    """Whether 2 * d * max|Q| * max|K| exceeds float64's range (the product taken first)."""
+    return float(np.abs(q).max()) * float(np.abs(k).max()) * (2 * q.shape[1]) > np.finfo(np.float64).max
+
+
 def _assert_loads_bit_equal(path, text: str) -> None:
-    """The loader reads ``text`` as ``json.loads`` then ``np.array`` read it."""
+    """The loader reads ``text`` as ``json.loads`` then ``np.array`` read it,
+    or rejects it when its blocks break the logit bound."""
     path.write_text(text, encoding="utf-8")
-    loaded = kl.load_trace(path)
     doc = json.loads(text)
-    for got, rows in ((loaded.q, doc["Q"]), (loaded.k, doc["K"])):
-        want = np.array(rows, dtype=np.float64)
+    want_q, want_k = (np.array(doc[name], dtype=np.float64) for name in ("Q", "K"))
+    if _over_logit_bound(want_q, want_k):
+        with pytest.raises(MalformedTrace):
+            kl.load_trace(path)
+        return
+    loaded = kl.load_trace(path)
+    for got, want in ((loaded.q, want_q), (loaded.k, want_k)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -277,6 +296,16 @@ def test_empty_trace_rejected_before_write():
         kl.AttentionTrace(q=np.zeros((0, 2)), k=np.zeros((0, 2)))
 
 
+def test_logits_beyond_float64_range_rejected():
+    # every entry is finite, but a logit 1e200 * 1e200 is not
+    with pytest.raises(InvalidTrace):
+        kl.AttentionTrace(q=np.full((2, 1), 1e200), k=np.full((2, 1), -1e200))
+    # the bound grows with d: 2 * d * 1e307 fits float64's 1.797e308 up to d = 8
+    kl.AttentionTrace(q=np.full((1, 8), 1e153), k=np.full((1, 8), -1e154))
+    with pytest.raises(InvalidTrace):
+        kl.AttentionTrace(q=np.full((1, 9), 1e153), k=np.full((1, 9), -1e154))
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(InvalidTrace):
         kl.AttentionTrace(q=np.zeros((2, 2)), k=np.zeros((3, 2)))
@@ -290,13 +319,13 @@ def test_shape_mismatch_rejected():
     d=st.integers(1, 6),
     kind=st.sampled_from(kl.trace.TRACE_KINDS),
     seed=st.integers(0, 2**32 - 1),
-    fmt=st.sampled_from(["binary", "json"]),
+    name=st.sampled_from(["t.kvt", "t.json"]),
 )
-def test_roundtrip_property(tmp_path_factory, n, d, kind, seed, fmt):
+def test_roundtrip_property(tmp_path_factory, n, d, kind, seed, name):
     spec = kl.SyntheticTraceSpec(n=n, d=d, kind=kind, seed=seed)
     t = kl.generate_trace(spec)
-    path = tmp_path_factory.mktemp("rt") / ("t.json" if fmt == "json" else "t.kvt")
-    kl.save_trace(t, path, fmt=fmt)
+    path = tmp_path_factory.mktemp("rt") / name
+    kl.save_trace(t, path)
     assert kl.load_trace(path) == t
 
 
