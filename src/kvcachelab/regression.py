@@ -297,6 +297,8 @@ def random_problem(
     """Random instance in the requested PD regime (n >= d keeps A full rank)."""
     if not 1 <= d <= n:
         raise InvalidSpec("need n >= d >= 1 so that sigma_min(A) > 0")
+    if n * d * 8 > np.iinfo(np.intp).max:
+        raise InvalidSpec(f"n={n}, d={d} is more float64 entries than numpy can index")
     if regime not in ("strong", "weak"):
         raise InvalidSpec("regime must be 'strong' or 'weak'")
     rng = np.random.default_rng(seed)

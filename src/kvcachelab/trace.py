@@ -14,9 +14,10 @@ integer ``n`` and ``d`` and JSON numbers (not strings or booleans) as
 entries. The ``.json`` extension selects JSON for :func:`save_trace`; the
 loader detects the format by the magic bytes. Both formats round-trip
 matrices bit-exactly (JSON uses ``repr`` floats, which Python guarantees to
-round-trip). The JSON loader walks the top-level object itself and reads
-the ``Q`` and ``K`` blocks one row at a time, so a load peaks at about
-twice the file's size: its bytes and their decoded text.
+round-trip). The JSON loader walks the top-level object itself, reads the
+``Q`` and ``K`` blocks one row at a time, and decodes the file through a
+window of about one fixed-size read, so a load holds the blocks and one
+window, never the whole document.
 
 Synthetic generators stand in for traces captured from a real model. The
 ``power-law-keys`` kind scales key norms like ``rank**-exponent`` so a small
@@ -26,6 +27,7 @@ gives the first token the largest key.
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 import struct
@@ -121,6 +123,8 @@ class SyntheticTraceSpec:
             raise InvalidSpec(f"unknown trace kind {self.kind!r}; choose from {TRACE_KINDS}")
         if self.n < 1 or self.d < 1:
             raise InvalidSpec(f"sizes must be positive, got n={self.n}, d={self.d}")
+        if self.n * self.d * 8 > np.iinfo(np.intp).max:
+            raise InvalidSpec(f"n={self.n}, d={self.d} is more float64 entries than numpy can index")
         if not self.power_exponent > 0:  # also rejects NaN
             raise InvalidSpec("power_exponent must be > 0")
 
@@ -203,58 +207,173 @@ def save_trace(trace: AttentionTrace, path) -> None:
 
 # JSON numbers parse to exactly these types; bool, a subclass of int, is excluded
 _JSON_NUMBERS = {int, float}
-_DECODER = json.JSONDecoder()
+_SCAN = json.JSONDecoder().scan_once  # the C scanner: (value, end) or StopIteration(idx)
 _WS = re.compile(r"[ \t\n\r]*")  # JSON whitespace, as the json module skips it
 # Rows of a block are packed into a float64 chunk once they hold this many
 # entries, so at most one chunk of a block is alive as Python floats.
 _CHUNK_ENTRIES = 1 << 14
+# Bytes of one read of a JSON file: the parser's window is the unparsed tail
+# of the text plus the reads since, so a load holds about one read's text
+# whatever the file's size.
+_READ_BYTES = 1 << 18
 
 
-def _skip(text: str, idx: int, token: str, expecting: str) -> int:
-    """The index past ``token`` at ``text[idx]`` and the whitespace after it."""
-    if not text.startswith(token, idx):
-        raise json.JSONDecodeError(f"Expecting {expecting}", text, idx)
-    return _WS.match(text, idx + len(token)).end()
+class _Window:
+    """A JSON file's text, decoded one read at a time, and a parse cursor.
+
+    ``text`` is the unparsed tail of the file plus the reads since and
+    ``pos`` indexes it. ``base`` is the file's character offset of
+    ``text[0]``; ``lines`` counts the newlines before it and ``line_start`` is
+    the offset past the last one, so a syntax error names the file's line,
+    column and offset as ``json.loads`` does for the whole document.
+    """
+
+    def __init__(self, fh, head: bytes):
+        """Read ``fh`` on from ``head``, the bytes already read from it."""
+        self.fh, self.bytes_read = fh, 0
+        self.decoder = codecs.getincrementaldecoder("utf-8")()  # strict
+        self.text, self.pos, self.base = self._decode(head), 0, 0
+        self.lines, self.line_start = 0, 0
+
+    def _decode(self, chunk: bytes) -> str:
+        """The text of the next ``chunk`` of the file; an empty chunk ends it."""
+        self.bytes_read += len(chunk)
+        self.eof = not chunk
+        try:
+            return self.decoder.decode(chunk, final=self.eof)
+        except UnicodeDecodeError as exc:  # the decoder kept its undecoded bytes
+            at = self.bytes_read - len(chunk) - len(self.decoder.getstate()[0]) + exc.start
+            raise ValueError(f"invalid UTF-8 at byte {at}: {exc.reason}") from None
+
+    def _drop(self) -> None:
+        """Forget the text before the cursor."""
+        # rfind runs at memchr speed and count walks the text: count only when there is a newline
+        last = self.text.rfind("\n", 0, self.pos)
+        if last >= 0:
+            self.lines += self.text.count("\n", 0, self.pos)
+            self.line_start = self.base + last + 1
+        self.base += self.pos
+        self.text, self.pos = self.text[self.pos :], 0
+
+    def _more(self) -> None:
+        """Read until the unparsed tail has more than doubled or the file ends."""
+        self._drop()
+        parts, have = [self.text], len(self.text)
+        need = 2 * have + 1
+        while have < need and not self.eof:
+            parts.append(self._decode(self.fh.read(_READ_BYTES)))
+            have += len(parts[-1])
+        self.text = "".join(parts)
+
+    def error(self, msg: str, idx: int | None = None) -> ValueError:
+        """``json``'s message for a syntax error at ``text[idx]`` (default: the cursor)."""
+        idx = self.pos if idx is None else idx
+        newline = self.text.rfind("\n", 0, idx)
+        line_start = self.base + newline + 1 if newline >= 0 else self.line_start
+        lineno = self.lines + self.text.count("\n", 0, idx) + 1
+        at = self.base + idx
+        return ValueError(f"{msg}: line {lineno} column {at - line_start + 1} (char {at})")
+
+    def peek(self) -> str:
+        """The character at the cursor once whitespace is skipped; "" at the end of the file."""
+        char = self.text[self.pos : self.pos + 1]
+        if char not in " \t\n\r":  # most often: no whitespace to skip ("" is in every string)
+            return char
+        while True:
+            self.pos = _WS.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.eof:
+                return self.text[self.pos : self.pos + 1]
+            self._more()
+
+    def skip(self, token: str, expecting: str) -> None:
+        """Move past ``token``, the next character but whitespace, and the whitespace after it."""
+        if self.peek() != token:
+            raise self.error(f"Expecting {expecting}")
+        self.pos += 1
+        self.peek()
+
+    def value(self, read: str = ""):
+        """The JSON value at the cursor, which moves past it.
+
+        ``read`` stands in for the value's first characters when they are
+        already parsed and gone: ``"["`` for an open list, ``"[0"`` after an
+        entry and ``"[0,"`` after its comma. A parse counts once the file has
+        ended or two characters follow it in the window, as a number's end
+        depends on up to two characters after it (``1.|5``, ``1e-|5``) and
+        ``20|48`` parses as 20. Otherwise, and after any error before the end
+        of the file, the window grows and the parse retries; each retry more
+        than doubles the window, so a value costs O(its size).
+        """
+        if len(self.text) - self.pos < _READ_BYTES >> 6 and not self.eof:
+            # read on first when the window is about to end: a parse that
+            # fails there costs a pass over the window, as JSONDecodeError
+            # counts the lines before the failure
+            self._more()
+        if read:
+            self._drop()
+            self.text, self.base = read + self.text, self.base - len(read)
+        while True:
+            try:
+                value, end = _SCAN(self.text, self.pos)
+            except StopIteration as exc:  # what raw_decode reports as no value
+                if self.eof:
+                    raise self.error("Expecting value", exc.value) from None
+            except json.JSONDecodeError as exc:
+                if self.eof:
+                    raise self.error(exc.msg, exc.pos) from None
+            except (ValueError, RecursionError):
+                # ValueError: an integer too long to convert
+                if self.eof:
+                    raise
+            else:
+                if end + 2 < len(self.text) or self.eof:
+                    self.pos = end
+                    return value
+            self._more()
 
 
-def _json_block(text: str, idx: int) -> tuple[np.ndarray | None, int]:
-    """Read the Q or K value that starts at ``text[idx]``, one row at a time.
+def _json_block(window: _Window) -> np.ndarray | None:
+    """Read the Q or K value at the window's cursor, one row at a time.
 
     Returns the block, or None if the value is JSON but not a non-empty list
-    of equal-length rows of numbers within float64's range, and the index
-    past the value. Text that is not JSON raises ``ValueError``.
+    of equal-length rows of numbers within float64's range; either way the
+    cursor moves past the value. Text that is not JSON raises ``ValueError``.
     """
-    start = idx
     chunks, rows, width = [], [], None
-    if text.startswith("[", idx):
-        idx = _WS.match(text, idx + 1).end()
-        while text.startswith("[", idx):
-            row, idx = _DECODER.raw_decode(text, idx)
+    read = ""  # the value's parsed part, as ``_Window.value`` takes it
+    if window.peek() == "[":
+        window.pos += 1
+        read = "["
+        while window.peek() == "[":
+            row = window.value()
+            read = "[0"
             if width is None:
                 width = len(row)
             # a string or boolean entry would otherwise become a float
             if len(row) != width or not set(map(type, row)) <= _JSON_NUMBERS:
                 break
             rows.append(row)
-            idx = _WS.match(text, idx).end()
-            last = text.startswith("]", idx)
-            if last or len(rows) * width >= _CHUNK_ENTRIES:
+            after = window.peek()
+            if after == "]" or len(rows) * width >= _CHUNK_ENTRIES:
                 try:
                     chunks.append(np.array(rows, dtype=np.float64))
                 except OverflowError:  # an integer beyond float64's range
                     break
                 rows = []
-            if last:
-                return np.concatenate(chunks), idx + 1
-            if not text.startswith(",", idx):
+            if after == "]":
+                window.pos += 1
+                return np.concatenate(chunks)
+            if after != ",":
                 break
-            idx = _WS.match(text, idx + 1).end()
-    # Not a block: read the value whole, which also checks that it is JSON.
-    # A later duplicate key may still supply the block.
-    return None, _DECODER.raw_decode(text, start)[1]
+            window.pos += 1
+            read = "[0,"
+    # Not a block: read the rest of the value, which also checks that it is
+    # JSON. A later duplicate key may still supply the block.
+    window.value(read)
+    return None
 
 
-def _json_members(text: str) -> dict:
+def _json_members(window: _Window) -> dict:
     """Walk a JSON document's top-level object; its members, Q and K as blocks.
 
     Any key order, escaped keys and unknown keys with any value are
@@ -263,20 +382,19 @@ def _json_members(text: str) -> dict:
     object holds no trace either).
     """
     members = {}
-    idx = _skip(text, _WS.match(text).end(), "{", "'{'")
+    window.skip("{", "'{'")
     while True:
-        if not text.startswith('"', idx):
-            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, idx)
-        key, idx = _DECODER.raw_decode(text, idx)
-        idx = _skip(text, _WS.match(text, idx).end(), ":", "':' delimiter")
-        read = _json_block if key in ("Q", "K") else _DECODER.raw_decode
-        members[key], idx = read(text, idx)
-        idx = _WS.match(text, idx).end()
-        if text.startswith("}", idx):
+        if window.peek() != '"':
+            raise window.error("Expecting property name enclosed in double quotes")
+        key = window.value()
+        window.skip(":", "':' delimiter")
+        members[key] = _json_block(window) if key in ("Q", "K") else window.value()
+        if window.peek() == "}":
             break
-        idx = _skip(text, idx, ",", "',' delimiter")
-    if _WS.match(text, idx + 1).end() != len(text):
-        raise json.JSONDecodeError("Extra data", text, idx + 1)
+        window.skip(",", "',' delimiter")
+    window.pos += 1
+    if window.peek():
+        raise window.error("Extra data")
     return members
 
 
@@ -325,24 +443,26 @@ def _binary_blocks(raw: bytes, path: str) -> tuple[np.ndarray, np.ndarray]:
 def load_trace(path) -> AttentionTrace:
     """Read a trace file in either supported format, validating shape."""
     path = str(path)
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw.startswith(_MAGIC):
-        # The bytes and the text are each the file's size, so the bytes go as
-        # soon as the text exists; the blocks are read row by row, so the
-        # peak is about twice the file, at the decode.
-        try:
-            text = raw.decode("utf-8")
-            del raw
-            members = _json_members(text)
-        except (ValueError, RecursionError) as exc:
-            # ValueError: not UTF-8, not JSON, or an integer too long to
-            # convert; RecursionError: nesting deeper than the parser's stack
-            raise MalformedTrace(f"{path}: neither KVT1 binary nor a JSON object ({exc})") from None
-        del text
-        q, k = _json_blocks(members, path)
-    else:
-        q, k = _binary_blocks(raw, path)
+    # Unbuffered: a buffered file would keep the head and join it to the rest
+    # of a binary file, a copy of the whole file.
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(len(_MAGIC))
+        binary = head == _MAGIC
+        if not binary:
+            # The text goes through a window of about one read and the blocks
+            # are read row by row, so the peak is the blocks, not the file.
+            try:
+                members = _json_members(_Window(fh, head))
+            except (ValueError, RecursionError) as exc:
+                # ValueError: not UTF-8, not JSON, or an integer too long to
+                # convert; RecursionError: nesting deeper than the parser's stack
+                raise MalformedTrace(f"{path}: neither KVT1 binary nor a JSON object ({exc})") from None
+        elif fh.seekable():
+            fh.seek(0)
+            raw = fh.read()
+        else:  # a pipe cannot seek back
+            raw = head + fh.read()
+    q, k = _binary_blocks(raw, path) if binary else _json_blocks(members, path)
     try:
         return AttentionTrace(q=q, k=k)
     except InvalidTrace as exc:  # the blocks parsed, but their values break an invariant

@@ -429,6 +429,16 @@ def test_library_spec_errors_are_config_errors(tmp_path, argv):
     assert run(*argv, "--out-dir", tmp_path / "o") == 2
 
 
+@pytest.mark.parametrize("command", ["gen-trace", "regress"])
+def test_sizes_beyond_numpy_indexing_are_config_errors(tmp_path, capsys, command):
+    argv = [command, "--n", "99999999999999999999", "--d", "1", "--out-dir", tmp_path / "o"]
+    if command == "gen-trace":
+        argv += ["--out", tmp_path / "t.kvt"]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def _round_trip_argv(tmp_path):
     """Each subcommand with every flag away from its default."""
     trace = _gen(tmp_path)

@@ -111,6 +111,8 @@ def test_problem_validation():
     for shape in ((0, 0), (3, 0)):  # no rows or no columns: sigma_min(A) does not exist
         with pytest.raises(InvalidSpec):
             RegressionProblem(a=np.zeros(shape), b=np.full(shape[0], 0.2), w=np.ones(shape[0]))
+    with pytest.raises(InvalidSpec):  # 2**63 bytes of A: more than numpy can index
+        random_problem(n=2**59, d=2)
 
 
 # --- derivatives against finite differences ------------------------------------------
