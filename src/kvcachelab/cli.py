@@ -66,10 +66,12 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         ",".join([repr(float(cell)) if isinstance(cell, _FLOATS) else str(cell) for cell in row])
         for row in rows
     )
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -102,12 +104,6 @@ def resolve_budget(spec: str, n: int) -> int:
     if value < 1:
         raise InvalidSpec(f"--budget must be >= 1, got {value}")
     return value
-
-
-def _ensure_out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _policy_from_args(kind: str, budget: int, args) -> PolicyConfig:
@@ -145,7 +141,7 @@ def cmd_simulate(args) -> list[str]:
     policy = _policy_from_args(args.policy, budget, args)
     evicted_at = run_policy(trace, policy)
     report = deviation_reports(trace, [evicted_at])[0]
-    out = _ensure_out_dir(args)
+    out = Path(args.out_dir)
     n = trace.n
     # each step's victim, 0 while the cache fills
     evicted = evicted_at <= n
@@ -205,7 +201,7 @@ def cmd_compare(args) -> list[str]:
         [policy.kind, b, policy.budget, report.mean_retained, report.mean_tv, min(policy.budget, trace.n) / trace.n]
         for (b, policy), report in zip(cells, reports)
     ]
-    out = _ensure_out_dir(args)
+    out = Path(args.out_dir)
     path = out / "compare.csv"
     write_csv(
         path,
@@ -218,7 +214,7 @@ def cmd_compare(args) -> list[str]:
 def cmd_sparsity(args) -> list[str]:
     trace = load_trace(args.trace)
     per_row = trace_sparsity(trace, threshold_frac=args.threshold_frac)
-    out = _ensure_out_dir(args)
+    out = Path(args.out_dir)
     path = out / "sparsity.csv"
     write_csv(path, ["row", "sparsity"], [[i + 1, s] for i, s in enumerate(per_row)])
     summary = out / "sparsity.summary.json"
@@ -228,7 +224,7 @@ def cmd_sparsity(args) -> list[str]:
 
 def cmd_profile(args) -> list[str]:
     profile = heavy_hitter_profile(load_trace(args.trace))
-    out = _ensure_out_dir(args)
+    out = Path(args.out_dir)
     path = out / "profile.csv"
     rows = [
         [rank + 1, int(tok), score, norm]
@@ -285,7 +281,7 @@ def cmd_submodular_verify(args) -> list[str]:
         noisy = robust_greedy(NoisyOracle(inst, eps=eps, seed=int(rng.integers(2**62))), k)
         if noisy.value < robust_greedy_floor(opt.value, k, eps) - 1e-9:
             violations += 1
-    out = _ensure_out_dir(args)
+    out = Path(args.out_dir)
     path = out / "submodular.report.json"
     write_json(
         path,
@@ -308,7 +304,7 @@ def cmd_regress(args) -> list[str]:
         result = newton_solve(problem, tol=args.tol)
     except MaxIterationsExceeded as exc:  # keep the partial trajectory in the CSV
         result = exc.trajectory
-    out = _ensure_out_dir(args)
+    out = Path(args.out_dir)
     path = out / "regress.csv"
     rows = [[s.iteration, s.loss, s.grad_norm, s.min_eig] for s in result.states]
     write_csv(path, ["iter", "loss", "grad_norm", "min_eig"], rows)
@@ -416,7 +412,6 @@ def _dispatch(args, argv_command: str) -> int:
     started = time.time()
     outputs = args.func(args)
     out_dir = Path(getattr(args, "out_dir", "./out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out_dir")}
     inputs = [str(args.trace)] if getattr(args, "trace", None) else []
     write_manifest(out_dir, argv_command, config, inputs, outputs, seed=getattr(args, "seed", None), started=started)

@@ -2,7 +2,10 @@
 
 Every error raised intentionally by this package derives from
 :class:`KVCacheLabError`, so callers can catch the whole family in one
-clause while still discriminating fine-grained failure modes.
+clause. Below it there is one class for each way a caller handles an
+error: the CLI exits 2 on :class:`InvalidSpec`, 3 on
+:class:`MalformedTrace` and 4 on the rest, and ``regress`` writes the
+partial trajectory that :class:`MaxIterationsExceeded` carries.
 """
 
 from __future__ import annotations
@@ -10,12 +13,6 @@ from __future__ import annotations
 
 class KVCacheLabError(Exception):
     """Base class for all errors raised by kvcachelab."""
-
-
-# --- trace files and specs -----------------------------------------------
-
-class InvalidTrace(KVCacheLabError):
-    """A trace object violates its invariants (shape mismatch, NaN, n < 1)."""
 
 
 class InvalidSpec(KVCacheLabError):
@@ -33,34 +30,6 @@ class MalformedTrace(KVCacheLabError):
         super().__init__(message)
         self.byte_offset = byte_offset
 
-
-# --- policies ---------------------------------------------------------------
-
-class InconsistentState(KVCacheLabError):
-    """Inputs that contradict each other or an invariant.
-
-    ``policies.decide`` raises it on an empty cache or on scores that do not
-    match the tokens one for one.
-    """
-
-
-# --- metrics ------------------------------------------------------------------
-
-class TraceMismatch(KVCacheLabError):
-    """An eviction schedule's length is not the given trace's n."""
-
-
-# --- submodular lab -----------------------------------------------------------
-
-class BadBudget(KVCacheLabError):
-    """Selection budget outside [1, n]."""
-
-
-class TooLarge(KVCacheLabError):
-    """Instance too large for exhaustive enumeration."""
-
-
-# --- regression -----------------------------------------------------------------
 
 class NonFinite(KVCacheLabError):
     """A loss/gradient/Hessian evaluation overflowed even after stabilization."""

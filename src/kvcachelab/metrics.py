@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .attention import exact_blocks
-from .errors import InvalidSpec, TraceMismatch
+from .errors import InvalidSpec
 from .trace import AttentionTrace
 
 
@@ -83,7 +83,7 @@ def deviation_reports(trace: AttentionTrace, schedules: Sequence[np.ndarray]) ->
     n = trace.n
     for evicted_at in schedules:
         if len(evicted_at) != n:
-            raise TraceMismatch(f"schedule has n={len(evicted_at)}, trace has n={n}")
+            raise InvalidSpec(f"schedule has n={len(evicted_at)}, trace has n={n}")
     off = np.empty((len(schedules), n))
     for lo, e in exact_blocks(trace):
         hi = e.shape[1]

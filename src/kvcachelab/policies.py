@@ -86,7 +86,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InconsistentState, InvalidSpec
+from .errors import InvalidSpec
 from .trace import AttentionTrace
 
 POLICY_KINDS = (
@@ -182,7 +182,7 @@ def decide(policy: PolicyConfig, tokens, weights, scores) -> int:
     kind = policy.kind
     tokens = np.asarray(tokens)
     if tokens.size < 2:
-        raise InconsistentState("decide() called on an empty cache")
+        raise InvalidSpec("decide() called on an empty cache")
     cached, incoming = tokens[:-1], tokens[-1]
     if kind == "local":
         return int(cached.argmin())
@@ -198,7 +198,7 @@ def decide(policy: PolicyConfig, tokens, weights, scores) -> int:
         return _argmin_lowest_token(np.asarray(weights)[:-1], cached)
     scores = np.asarray(scores)
     if scores.shape != tokens.shape:
-        raise InconsistentState(f"{scores.size} accumulated scores for {tokens.size} candidates")
+        raise InvalidSpec(f"{scores.size} accumulated scores for {tokens.size} candidates")
     if kind in ("h2o", "h2_only"):
         # h2o shields the window i - r + 1..i; h2_only has none
         r = policy.recent_budget if kind == "h2o" else 0
@@ -207,11 +207,13 @@ def decide(policy: PolicyConfig, tokens, weights, scores) -> int:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    # in place, with the arithmetic of the reference loop's softmax
-    # (tests/reference_engine.py), which the outputs are pinned to
-    logits -= logits.max()
+    # in place along the last axis, so a stack of rows is one call, with the
+    # arithmetic of the reference loop's softmax (tests/reference_engine.py),
+    # which the outputs are pinned to; the ufunc reductions skip the Python
+    # wrappers of the ndarray methods
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum()
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
     return logits
 
 
@@ -270,11 +272,9 @@ def _lockstep(trace: AttentionTrace, configs: list[PolicyConfig], filled: np.nda
     slot_keys[:, :k] = keys[:k]
     slot_tok = np.tile(np.arange(1, k + 2), (len(configs), 1))
     slot_score = np.tile(filled, (len(configs), 1))
-    # the incoming slot of every lane, and the buffers of a step's softmax
+    # the incoming slot of every lane, and the buffer of a step's weights
     key_in, tok_in, score_in = slot_keys[:, k], slot_tok[:, k], slot_score[:, k]
     weights = np.empty(slot_score.shape)
-    row_max = np.empty((len(configs), 1))
-    row_sum = np.empty((len(configs), 1))
     # per lane: its config, row views and evictions
     lanes = [
         (p, slot_keys[l], slot_tok[l], weights[l], slot_score[l], np.full(n, n + 1, dtype=np.int64))
@@ -287,13 +287,7 @@ def _lockstep(trace: AttentionTrace, configs: list[PolicyConfig], filled: np.nda
         # a stacked product runs the single-lane gemv per lane; one flattened
         # (lanes * (k + 1), d) gemv would round differently
         np.matmul(slot_keys, queries[i - 1], out=weights)
-        # the softmax of _softmax, row by row
-        np.maximum.reduce(weights, axis=1, out=row_max, keepdims=True)
-        weights -= row_max
-        np.exp(weights, out=weights)
-        np.add.reduce(weights, axis=1, out=row_sum, keepdims=True)
-        weights /= row_sum
-        slot_score += weights
+        slot_score += _softmax(weights)
         for policy, lane_keys, tok, w, score, evicted_at in lanes:
             v = decide(policy, tok, w, score)
             evicted_at[tok[v] - 1] = i

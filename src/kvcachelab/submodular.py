@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadBudget, InvalidSpec, TooLarge
+from .errors import InvalidSpec
 
 __all__ = [
     "GREEDY_RATIO",
@@ -95,7 +95,7 @@ def _greedy(
 ) -> Selection:
     """Pick k elements, each maximising score(chosen, j); lowest index on ties."""
     if not 1 <= k <= instance.n:
-        raise BadBudget(f"budget must be in [1, {instance.n}], got {k}")
+        raise InvalidSpec(f"budget must be in [1, {instance.n}], got {k}")
     chosen: frozenset[int] = frozenset()
     order: list[int] = []
     for _ in range(k):
@@ -119,9 +119,9 @@ def greedy(instance: SubmodularInstance, k: int) -> Selection:
 def brute_force_opt(instance: SubmodularInstance, k: int) -> Selection:
     """Exact max over all size-k subsets; first lexicographic argmax wins."""
     if not 1 <= k <= instance.n:
-        raise BadBudget(f"budget must be in [1, {instance.n}], got {k}")
+        raise InvalidSpec(f"budget must be in [1, {instance.n}], got {k}")
     if instance.n > _ENUM_CAP:
-        raise TooLarge(f"enumeration capped at n={_ENUM_CAP}, got {instance.n}")
+        raise InvalidSpec(f"enumeration capped at n={_ENUM_CAP}, got {instance.n}")
     best_set, best_val = None, -math.inf
     for combo in combinations(range(1, instance.n + 1), k):
         v = instance.value(combo)

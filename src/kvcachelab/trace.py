@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, InvalidTrace, MalformedTrace
+from .errors import InvalidSpec, MalformedTrace
 
 _MAGIC = b"KVT1"
-_HEADER = struct.Struct("<4sII")
+_SIZES = struct.Struct("<II")  # n and d, after the magic
 
 TRACE_KINDS = ("uniform-gaussian", "power-law-keys", "sink-dominant")
 
@@ -50,13 +50,6 @@ TRACE_KINDS = ("uniform-gaussian", "power-law-keys", "sink-dominant")
 _KEY_GAIN = 60.0
 _ALIGN = 0.95
 _QUERY_NOISE = 0.2
-
-
-def _as_matrix(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InvalidTrace(f"{name} must be 2-D, got shape {arr.shape}")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -72,20 +65,19 @@ class AttentionTrace:
     k: np.ndarray
 
     def __post_init__(self):
-        q = _as_matrix(self.q, "Q")
-        k = _as_matrix(self.k, "K")
-        if q.shape != k.shape:
-            raise InvalidTrace(f"Q/K shape mismatch: {q.shape} vs {k.shape}")
+        # one copy each, which the trace owns: writes to the inputs never reach it
+        q = np.array(self.q, dtype=np.float64)
+        k = np.array(self.k, dtype=np.float64)
+        if q.ndim != 2 or q.shape != k.shape:
+            raise InvalidSpec(f"Q and K must be 2-D and of one shape, got {q.shape} and {k.shape}")
         if q.shape[0] < 1 or q.shape[1] < 1:
-            raise InvalidTrace(f"trace needs n >= 1 and d >= 1, got {q.shape}")
+            raise InvalidSpec(f"trace needs n >= 1 and d >= 1, got {q.shape}")
         if not np.isfinite(q).all() or not np.isfinite(k).all():
-            raise InvalidTrace("trace contains non-finite entries")
+            raise InvalidSpec("trace contains non-finite entries")
         # Python floats (no temporary array, no numpy warning); |Q| * |K| first, as 2 * d * |Q| may overflow
         q_max, k_max = (max(float(a.max()), -float(a.min())) for a in (q, k))
         if q_max * k_max * (2 * q.shape[1]) > np.finfo(np.float64).max:
-            raise InvalidTrace("logits may overflow: 2 * d * max|Q| * max|K| exceeds float64's range")
-        q = q.copy()
-        k = k.copy()
+            raise InvalidSpec("logits may overflow: 2 * d * max|Q| * max|K| exceeds float64's range")
         q.setflags(write=False)
         k.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -103,9 +95,6 @@ class AttentionTrace:
         if not isinstance(other, AttentionTrace):
             return NotImplemented
         return np.array_equal(self.q, other.q) and np.array_equal(self.k, other.k)
-
-    def __hash__(self):
-        return hash((self.q.tobytes(), self.k.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -200,7 +189,7 @@ def save_trace(trace: AttentionTrace, path) -> None:
             fh.write("}")
     else:
         with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, trace.n, trace.d))
+            fh.write(_MAGIC + _SIZES.pack(trace.n, trace.d))
             fh.write(np.ascontiguousarray(trace.q, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(trace.k, dtype="<f8").tobytes())
 
@@ -419,23 +408,28 @@ def _json_blocks(members: dict, path: str) -> tuple[np.ndarray, np.ndarray]:
     return members["Q"], members["K"]
 
 
-def _binary_blocks(raw: bytes, path: str) -> tuple[np.ndarray, np.ndarray]:
-    """A KVT1 file's Q and K blocks, checked against its header and for non-finite entries."""
-    if len(raw) < _HEADER.size:
-        raise MalformedTrace(f"{path}: truncated header", byte_offset=len(raw))
-    _, n, d = _HEADER.unpack_from(raw)
+def _binary_blocks(body: bytes, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """A KVT1 file's Q and K blocks, checked against its header and for non-finite entries.
+
+    ``body`` is the file after its magic bytes. Every message and
+    ``byte_offset`` counts the magic, so it names the file's byte.
+    """
+    at = len(_MAGIC)  # the file offset of body[0]
+    if len(body) < _SIZES.size:
+        raise MalformedTrace(f"{path}: truncated header", byte_offset=at + len(body))
+    n, d = _SIZES.unpack_from(body)
     if n < 1 or d < 1:
-        raise MalformedTrace(f"{path}: header claims n={n}, d={d}", byte_offset=4)
-    need = _HEADER.size + 2 * n * d * 8
-    if len(raw) != need:
+        raise MalformedTrace(f"{path}: header claims n={n}, d={d}", byte_offset=at)
+    need = _SIZES.size + 2 * n * d * 8
+    if len(body) != need:
         raise MalformedTrace(
-            f"{path}: expected {need} bytes for n={n}, d={d}, found {len(raw)}",
-            byte_offset=min(len(raw), need),
+            f"{path}: expected {at + need} bytes for n={n}, d={d}, found {at + len(body)}",
+            byte_offset=at + min(len(body), need),
         )
-    flat = np.frombuffer(raw, dtype="<f8", count=2 * n * d, offset=_HEADER.size)
+    flat = np.frombuffer(body, dtype="<f8", count=2 * n * d, offset=_SIZES.size)
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
-        off = _HEADER.size + int(bad[0]) * 8
+        off = at + _SIZES.size + int(bad[0]) * 8
         raise MalformedTrace(f"{path}: non-finite entry", byte_offset=off)
     return flat[: n * d].reshape(n, d), flat[n * d :].reshape(n, d)
 
@@ -443,12 +437,15 @@ def _binary_blocks(raw: bytes, path: str) -> tuple[np.ndarray, np.ndarray]:
 def load_trace(path) -> AttentionTrace:
     """Read a trace file in either supported format, validating shape."""
     path = str(path)
-    # Unbuffered: a buffered file would keep the head and join it to the rest
-    # of a binary file, a copy of the whole file.
+    # Unbuffered: the rest of a binary file, from a file or a pipe alike, is
+    # one read into one object, where a buffered reader would join its buffer
+    # to the rest, a copy of the whole file.
     with open(path, "rb", buffering=0) as fh:
         head = fh.read(len(_MAGIC))
         binary = head == _MAGIC
-        if not binary:
+        if binary:
+            body = fh.read()
+        else:
             # The text goes through a window of about one read and the blocks
             # are read row by row, so the peak is the blocks, not the file.
             try:
@@ -457,13 +454,8 @@ def load_trace(path) -> AttentionTrace:
                 # ValueError: not UTF-8, not JSON, or an integer too long to
                 # convert; RecursionError: nesting deeper than the parser's stack
                 raise MalformedTrace(f"{path}: neither KVT1 binary nor a JSON object ({exc})") from None
-        elif fh.seekable():
-            fh.seek(0)
-            raw = fh.read()
-        else:  # a pipe cannot seek back
-            raw = head + fh.read()
-    q, k = _binary_blocks(raw, path) if binary else _json_blocks(members, path)
+    q, k = _binary_blocks(body, path) if binary else _json_blocks(members, path)
     try:
         return AttentionTrace(q=q, k=k)
-    except InvalidTrace as exc:  # the blocks parsed, but their values break an invariant
+    except InvalidSpec as exc:  # the blocks parsed, but their values break an invariant
         raise MalformedTrace(f"{path}: {exc}") from None

@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from kvcachelab.errors import InconsistentState, InvalidSpec
+from kvcachelab.errors import InvalidSpec
 from kvcachelab.policies import PolicyConfig, fixed_pattern_member, strided_pattern_member
 from kvcachelab.trace import AttentionTrace
 
@@ -119,7 +119,7 @@ SCORE_FUNCTIONS = {
 def _min_score_token(tokens, scores: dict[int, float]) -> int:
     missing = [t for t in tokens if t not in scores]
     if missing:
-        raise InconsistentState(f"no accumulated score for candidates {sorted(missing)}")
+        raise InvalidSpec(f"no accumulated score for candidates {sorted(missing)}")
     return min(tokens, key=lambda t: (scores[t], t))
 
 
@@ -134,7 +134,7 @@ def decide(
     kind = policy.kind
     tracked = cache.tracked
     if not tracked:
-        raise InconsistentState("decide() called on an empty cache")
+        raise InvalidSpec("decide() called on an empty cache")
     if kind == "local":
         return min(tracked)
     if kind == "sink_local":

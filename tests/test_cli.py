@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import struct
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import kvcachelab as kl
 import reference_engine as ref
+from kvcachelab import cli, errors
 from kvcachelab.cli import build_parser, main, resolve_budget, write_csv
 from kvcachelab.errors import InvalidSpec
 from kvcachelab.trace import TRACE_KINDS
@@ -169,6 +171,37 @@ def test_simulate_missing_trace_is_config_error(tmp_path):
 
 def test_simulate_nonexistent_trace_is_io_error(tmp_path):
     assert run("simulate", "--trace", tmp_path / "nope.kvt", "--out-dir", tmp_path) == 3
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "sparsity", "profile"])
+def test_nonexistent_trace_creates_no_out_dir(tmp_path, command):
+    out = tmp_path / "out"
+    assert run(command, "--trace", tmp_path / "nope.kvt", "--out-dir", out) == 3
+    assert not out.exists()
+
+
+# every class that kvcachelab.errors defines: main's exit code and stderr prefix
+EXIT_CODES = {
+    "InvalidSpec": (2, "error: "),
+    "MalformedTrace": (3, "io error: "),
+    "NonFinite": (4, "internal error: "),
+    "MaxIterationsExceeded": (4, "internal error: "),
+    "KVCacheLabError": (4, "internal error: "),
+}
+
+
+def test_every_error_class_has_its_exit_code(tmp_path, monkeypatch, capsys):
+    classes = dict(inspect.getmembers(errors, lambda c: inspect.isclass(c) and c.__module__ == errors.__name__))
+    assert set(classes) == set(EXIT_CODES)  # a new class cannot land unmapped
+    for name, (code, prefix) in EXIT_CODES.items():
+        def fail(args, error=classes[name]):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_profile", fail)
+        assert run("profile", "--trace", tmp_path / "t.kvt", "--out-dir", tmp_path) == code, name
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and "boom" in err, name
+        assert "Traceback" not in err, name
 
 
 def test_simulate_bad_budget_is_config_error(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import kvcachelab as kl
 import reference_engine as ref
-from kvcachelab.errors import InvalidSpec, TraceMismatch
+from kvcachelab.errors import InvalidSpec
 from kvcachelab.metrics import trace_sparsity
 from kvcachelab.trace import TRACE_KINDS
 
@@ -63,7 +63,7 @@ def test_trace_mismatch_detected():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=12, d=4, seed=5))
     other = kl.generate_trace(kl.SyntheticTraceSpec(n=10, d=4, seed=5))
     evicted_at = kl.run_policy(t, kl.PolicyConfig(kind="local", budget=3))
-    with pytest.raises(TraceMismatch):
+    with pytest.raises(InvalidSpec):
         kl.deviation_reports(other, [evicted_at])
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import kvcachelab as kl
 import reference_engine as ref
 from kvcachelab import policies
-from kvcachelab.errors import InconsistentState, InvalidSpec
+from kvcachelab.errors import InvalidSpec
 from kvcachelab.policies import decide, fixed_pattern_member, strided_pattern_member
 from kvcachelab.trace import TRACE_KINDS
 from test_metrics import profile_atol
@@ -115,7 +115,7 @@ def test_sparse_patterns_evict_off_pattern():
 
 def test_h2o_missing_scores_is_inconsistent():
     cfg = kl.PolicyConfig(kind="h2o", budget=2, recent_frac=0.0)
-    with pytest.raises(InconsistentState):
+    with pytest.raises(InvalidSpec):
         decide(cfg, [1, 2, 3], [0.0, 0.0, 0.0], [0.5])
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import kvcachelab as kl
 import reference_engine as ref
-from kvcachelab.errors import BadBudget, TooLarge
+from kvcachelab.errors import InvalidSpec
 from kvcachelab.submodular import (
     GREEDY_RATIO,
     NoisyOracle,
@@ -81,9 +81,9 @@ def test_coverage_single_pick():
 
 def test_budget_bounds():
     inst = SubmodularInstance.modular([1.0, 2.0])
-    with pytest.raises(BadBudget):
+    with pytest.raises(InvalidSpec):
         greedy(inst, 0)
-    with pytest.raises(BadBudget):
+    with pytest.raises(InvalidSpec):
         brute_force_opt(inst, 3)
 
 
@@ -91,7 +91,7 @@ def test_brute_force_full_set_and_cap():
     inst = SubmodularInstance.coverage([{1}, {2}, {1, 2, 3}])
     assert brute_force_opt(inst, 3).value == pytest.approx(inst.value({1, 2, 3}))
     big = SubmodularInstance.modular(np.ones(23))
-    with pytest.raises(TooLarge):
+    with pytest.raises(InvalidSpec):
         brute_force_opt(big, 2)
 
 

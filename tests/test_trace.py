@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kvcachelab as kl
-from kvcachelab.errors import InvalidSpec, InvalidTrace, MalformedTrace
+from kvcachelab.errors import InvalidSpec, MalformedTrace
 from kvcachelab.trace import _scaled_key_trace
 
 
@@ -356,19 +356,48 @@ def test_ragged_row_in_a_later_chunk_is_malformed(tmp_path):
         kl.load_trace(path)
 
 
+def _load_from_fifo(tmp_path, raw: bytes) -> kl.AttentionTrace:
+    """``load_trace`` of ``raw`` read through a FIFO that another thread writes, as from a pipe."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
+    writer.start()
+    try:
+        return kl.load_trace(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 @pytest.mark.parametrize("name", ["t.kvt", "t.json"])
 def test_trace_read_from_a_pipe_loads(tmp_path, name):
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=40, d=3, seed=4))
     kl.save_trace(t, tmp_path / name)
-    fifo = tmp_path / "fifo"
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, args=((tmp_path / name).read_bytes(),), daemon=True)
-    writer.start()
-    try:
-        assert kl.load_trace(fifo) == t
-    finally:
-        writer.join(timeout=10)
-    assert not writer.is_alive()
+    assert _load_from_fifo(tmp_path, (tmp_path / name).read_bytes()) == t
+
+
+def _nan_at_second_q_entry(raw: bytes) -> bytes:
+    raw = bytearray(raw)
+    raw[20:28] = np.float64("nan").tobytes()
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("damage, offset", [
+    (lambda raw: raw[:7], 7),  # truncated header
+    (lambda raw: raw[:-8], 68),  # size mismatch: 76 bytes expected
+    (_nan_at_second_q_entry, 20),
+], ids=["truncated-header", "size-mismatch", "nan"])
+def test_bad_binary_file_from_a_pipe_fails_as_from_disk(tmp_path, damage, offset):
+    path = tmp_path / "t.kvt"
+    kl.save_trace(kl.AttentionTrace(q=np.ones((2, 2)), k=np.ones((2, 2))), path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(MalformedTrace) as disk:
+        kl.load_trace(path)
+    with pytest.raises(MalformedTrace) as pipe:
+        _load_from_fifo(tmp_path, path.read_bytes())
+    assert disk.value.byte_offset == pipe.value.byte_offset == offset
+    # the messages differ only in the path they name
+    assert str(pipe.value).replace(str(tmp_path / "fifo"), str(path)) == str(disk.value)
 
 
 def test_every_truncation_of_a_binary_file_is_malformed(tmp_path):
@@ -427,25 +456,34 @@ def test_unwritable_path_raises_oserror(tmp_path):
         kl.save_trace(t, tmp_path / "missing" / "t.kvt")
 
 
+def test_trace_is_immutable_after_construction():
+    q, k = np.ones((2, 3)), np.full((2, 3), 2.0)
+    t = kl.AttentionTrace(q=q, k=k)
+    q[0, 0] = k[0, 0] = 9.0  # the trace holds its own copies
+    assert t.q[0, 0] == 1.0 and t.k[0, 0] == 2.0
+    with pytest.raises(ValueError):
+        t.q[0, 0] = 1.0
+
+
 def test_empty_trace_rejected_before_write():
-    with pytest.raises(InvalidTrace):
+    with pytest.raises(InvalidSpec):
         kl.AttentionTrace(q=np.zeros((0, 2)), k=np.zeros((0, 2)))
 
 
 def test_logits_beyond_float64_range_rejected():
     # every entry is finite, but a logit 1e200 * 1e200 is not
-    with pytest.raises(InvalidTrace):
+    with pytest.raises(InvalidSpec):
         kl.AttentionTrace(q=np.full((2, 1), 1e200), k=np.full((2, 1), -1e200))
     # the bound grows with d: 2 * d * 1e307 fits float64's 1.797e308 up to d = 8
     kl.AttentionTrace(q=np.full((1, 8), 1e153), k=np.full((1, 8), -1e154))
-    with pytest.raises(InvalidTrace):
+    with pytest.raises(InvalidSpec):
         kl.AttentionTrace(q=np.full((1, 9), 1e153), k=np.full((1, 9), -1e154))
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(InvalidTrace):
+    with pytest.raises(InvalidSpec):
         kl.AttentionTrace(q=np.zeros((2, 2)), k=np.zeros((3, 2)))
-    with pytest.raises(InvalidTrace):
+    with pytest.raises(InvalidSpec):
         kl.AttentionTrace(q=np.zeros((2, 2)), k=np.full((2, 2), np.nan))
 
 
