@@ -42,6 +42,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 # Each decode step is one small gemv, far too small for a second BLAS
 # thread; OpenBLAS reads this only when numpy is first imported.
@@ -59,15 +60,15 @@ from .trace import TRACE_KINDS, SyntheticTraceSpec, generate_trace, load_trace, 
 _FLOATS = (float, np.floating)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Write rows as CSV: floats as their shortest round-trip repr, the rest as ``str``."""
-    lines = [",".join(header)]
-    lines.extend(
-        ",".join([repr(float(cell)) if isinstance(cell, _FLOATS) else str(cell) for cell in row])
-        for row in rows
-    )
+def write_csv(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write an iterable of rows as CSV, one line at a time: floats as their
+    shortest round-trip repr, the rest as ``str``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = [repr(float(cell)) if isinstance(cell, _FLOATS) else str(cell) for cell in row]
+            fh.write(",".join(cells) + "\n")
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -148,10 +149,10 @@ def cmd_simulate(args) -> list[str]:
     victim = np.zeros(n + 1, dtype=np.int64)
     victim[evicted_at[evicted]] = np.flatnonzero(evicted) + 1
     # the cache grows by one token per step until it reaches the budget
-    rows = [
-        [i, min(i, budget), v or "", r, tv]
+    rows = (
+        (i, min(i, budget), v or "", r, tv)
         for i, v, r, tv in zip(range(1, n + 1), victim[1:].tolist(), report.retained.tolist(), report.tv.tolist())
-    ]
+    )
     steps_csv = out / "simulate.steps.csv"
     write_csv(steps_csv, ["i", "cache_size", "evicted", "retained_mass", "tv"], rows)
     summary = out / "simulate.summary.json"
@@ -216,7 +217,7 @@ def cmd_sparsity(args) -> list[str]:
     per_row = trace_sparsity(trace, threshold_frac=args.threshold_frac)
     out = Path(args.out_dir)
     path = out / "sparsity.csv"
-    write_csv(path, ["row", "sparsity"], [[i + 1, s] for i, s in enumerate(per_row)])
+    write_csv(path, ["row", "sparsity"], ((i + 1, s) for i, s in enumerate(per_row)))
     summary = out / "sparsity.summary.json"
     write_json(summary, {"mean_sparsity": float(per_row.mean()), "threshold_frac": args.threshold_frac})
     return [str(path), str(summary)]
@@ -226,12 +227,12 @@ def cmd_profile(args) -> list[str]:
     profile = heavy_hitter_profile(load_trace(args.trace))
     out = Path(args.out_dir)
     path = out / "profile.csv"
-    rows = [
-        [rank + 1, int(tok), score, norm]
+    rows = (
+        (rank + 1, int(tok), score, norm)
         for rank, (tok, score, norm) in enumerate(
             zip(profile.tokens, profile.curve, profile.normalized)
         )
-    ]
+    )
     write_csv(path, ["rank", "token", "accumulated_score", "uniform_lift"], rows)
     summary = out / "profile.summary.json"
     write_json(summary, {f"top_{int(frac * 100)}pct_share": share for frac, share in profile.top_shares.items()})

@@ -59,15 +59,29 @@ class AttentionTrace:
     Invariants: Q and K share the same shape, n >= 1, d >= 1, all entries
     finite, and ``2 * d * max|Q| * max|K|`` within float64's range, which
     bounds every partial sum of a logit and each row's shift by its maximum.
+
+    ``AttentionTrace(q=..., k=...)`` always copies Q and K, even read-only
+    ones, whose base may still be written, so writes to the inputs never
+    reach the trace. :func:`load_trace` and :func:`generate_trace` build
+    their blocks themselves and hand them over through ``_adopt``, which
+    runs the same checks and keeps the arrays without a copy.
     """
 
     q: np.ndarray
     k: np.ndarray
 
     def __post_init__(self):
-        # one copy each, which the trace owns: writes to the inputs never reach it
-        q = np.array(self.q, dtype=np.float64)
-        k = np.array(self.k, dtype=np.float64)
+        self._own(np.array(self.q, dtype=np.float64), np.array(self.k, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, q: np.ndarray, k: np.ndarray) -> AttentionTrace:
+        """A trace over blocks that nothing else holds, made read-only and kept without a copy."""
+        trace = object.__new__(cls)
+        trace._own(np.asarray(q, dtype=np.float64), np.asarray(k, dtype=np.float64))
+        return trace
+
+    def _own(self, q: np.ndarray, k: np.ndarray) -> None:
+        """Check the invariants on Q and K, make them read-only and hold them."""
         if q.ndim != 2 or q.shape != k.shape:
             raise InvalidSpec(f"Q and K must be 2-D and of one shape, got {q.shape} and {k.shape}")
         if q.shape[0] < 1 or q.shape[1] < 1:
@@ -168,7 +182,7 @@ def generate_trace(spec: SyntheticTraceSpec) -> AttentionTrace:
         scales = 0.05 + 0.05 * rng.random(n)
         scales[0] = 1.0
         q, k = _scaled_key_trace(n, d, scales, rng)
-    return AttentionTrace(q=q, k=k)
+    return AttentionTrace._adopt(q, k)
 
 
 def save_trace(trace: AttentionTrace, path) -> None:
@@ -427,9 +441,8 @@ def _binary_blocks(body: bytes, path: str) -> tuple[np.ndarray, np.ndarray]:
             byte_offset=at + min(len(body), need),
         )
     flat = np.frombuffer(body, dtype="<f8", count=2 * n * d, offset=_SIZES.size)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        off = at + _SIZES.size + int(bad[0]) * 8
+    if not np.isfinite(flat).all():
+        off = at + _SIZES.size + int(np.flatnonzero(~np.isfinite(flat))[0]) * 8
         raise MalformedTrace(f"{path}: non-finite entry", byte_offset=off)
     return flat[: n * d].reshape(n, d), flat[n * d :].reshape(n, d)
 
@@ -454,8 +467,9 @@ def load_trace(path) -> AttentionTrace:
                 # ValueError: not UTF-8, not JSON, or an integer too long to
                 # convert; RecursionError: nesting deeper than the parser's stack
                 raise MalformedTrace(f"{path}: neither KVT1 binary nor a JSON object ({exc})") from None
+    # nothing but this load holds the blocks (a binary file's are views of its one read)
     q, k = _binary_blocks(body, path) if binary else _json_blocks(members, path)
     try:
-        return AttentionTrace(q=q, k=k)
+        return AttentionTrace._adopt(q, k)
     except InvalidSpec as exc:  # the blocks parsed, but their values break an invariant
         raise MalformedTrace(f"{path}: {exc}") from None

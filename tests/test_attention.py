@@ -1,12 +1,14 @@
 """Exact attention blocks and the reference's restricted softmax: hand oracles and properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import kvcachelab as kl
 import reference_engine as ref
+from kvcachelab.attention import _BLOCK_BYTES
 
 # The blocks come from one GEMM per block where the reference takes one gemv
 # per row, so they may differ from it in the last bits: a few ulps, bounded
@@ -96,6 +98,30 @@ def test_blocks_match_row_by_row_softmax(n):
             row = ref.softmax_over(t, i, np.arange(1, i + 1))
             np.testing.assert_allclose(w[i - 1, :i], row, rtol=0, atol=WEIGHT_ATOL)
             assert (w[i - 1, i:] == 0.0).all()
+
+
+@pytest.mark.parametrize("n", [1, 257, 2048])
+def test_blocks_equal_one_fresh_product_per_block(n):
+    # every block, bit for bit, is Q[lo:hi] @ K[:hi].T with the future masked, shifted and exponentiated
+    for t in _random_traces(1, n, 16, kind="power-law-keys"):
+        for lo, e in kl.exact_blocks(t):
+            hi = e.shape[1]
+            logits = t.q[lo:hi] @ t.k[:hi].T
+            logits[np.arange(hi) > np.arange(lo, hi)[:, None]] = -np.inf
+            assert np.array_equal(e, np.exp(logits - logits.max(axis=1, keepdims=True)))
+
+
+def test_exact_pass_holds_one_block():
+    # the blocks are views of one buffer, so the pass never holds two of them
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=2048, d=8, seed=1))
+    tracemalloc.start()
+    try:
+        for _ in kl.exact_blocks(t):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * _BLOCK_BYTES
 
 
 # --- the reference's restricted softmax (the engine is pinned to it bit for bit) ---

@@ -165,6 +165,15 @@ def test_write_csv_cells_keep_their_formatting(tmp_path):
     assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
 
+def test_write_csv_writes_a_generator_as_a_list(tmp_path):
+    rows = [[i, i / 7, "" if i % 2 else np.float64(i)] for i in range(5)]
+    for name, given in (("list", rows), ("generator", (row for row in rows)), ("none", iter(()))):
+        write_csv(tmp_path / f"{name}.csv", ["i", "x", "y"], given)
+    want = (tmp_path / "list.csv").read_bytes()
+    assert (tmp_path / "generator.csv").read_bytes() == want
+    assert (tmp_path / "none.csv").read_bytes() == b"i,x,y\n"
+
+
 def test_simulate_missing_trace_is_config_error(tmp_path):
     assert run("simulate", "--policy", "h2o", "--out-dir", tmp_path) == 2
 

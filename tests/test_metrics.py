@@ -49,6 +49,16 @@ def test_full_policy_has_null_deviation():
     assert rep.mean_retained == pytest.approx(1.0)
 
 
+def test_schedule_that_evicts_nothing_is_exactly_full_attention():
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=300, d=8, kind="power-law-keys", seed=2))
+    local = kl.run_policy(t, kl.PolicyConfig(kind="local", budget=30))
+    full, shared = kl.deviation_reports(t, [np.full(t.n, t.n + 1), local])
+    assert (full.retained == 1.0).all() and (full.tv == 0.0).all() and not np.signbit(full.tv).any()
+    # a run's numbers do not depend on which runs share the pass
+    alone = kl.deviation_reports(t, [local])[0]
+    assert shared.retained.tobytes() == alone.retained.tobytes() and shared.tv.tobytes() == alone.tv.tobytes()
+
+
 def test_singleton_cache_retained_mass_is_self_weight():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=12, d=4, seed=5))
     rep = kl.deviation_reports(t, [kl.run_policy(t, kl.PolicyConfig(kind="local", budget=1))])[0]

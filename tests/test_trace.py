@@ -143,6 +143,20 @@ def test_json_load_peak_memory_stays_within_file_size_bound(tmp_path, d, bound):
     assert peak < bound * path.stat().st_size
 
 
+def test_binary_load_peak_memory_stays_below_1_2_file_sizes(tmp_path):
+    # the trace keeps views over the bytes of the file's one read, so the
+    # peak is that read and the finite-entry check's flags, not a second copy
+    path = tmp_path / "t.kvt"
+    kl.save_trace(kl.generate_trace(kl.SyntheticTraceSpec(n=2048, d=64, seed=3)), path)
+    tracemalloc.start()
+    try:
+        kl.load_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * path.stat().st_size
+
+
 def _over_logit_bound(q: np.ndarray, k: np.ndarray) -> bool:
     """Whether 2 * d * max|Q| * max|K| exceeds float64's range (the product taken first)."""
     return float(np.abs(q).max()) * float(np.abs(k).max()) * (2 * q.shape[1]) > np.finfo(np.float64).max
@@ -463,6 +477,15 @@ def test_trace_is_immutable_after_construction():
     assert t.q[0, 0] == 1.0 and t.k[0, 0] == 2.0
     with pytest.raises(ValueError):
         t.q[0, 0] = 1.0
+
+
+def test_read_only_view_of_a_writeable_array_is_copied():
+    base = np.ones((2, 3))
+    view = base.view()
+    view.setflags(write=False)
+    t = kl.AttentionTrace(q=view, k=view)
+    base[0, 0] = 9.0  # the view is read-only, but its base is not
+    assert t.q[0, 0] == 1.0 and t.k[0, 0] == 1.0
 
 
 def test_empty_trace_rejected_before_write():
