@@ -79,28 +79,20 @@ def deviation_reports(trace: AttentionTrace, schedules: Sequence[np.ndarray]) ->
     Each schedule is a run's ``evicted_at`` vector. The exact blocks are
     computed once for all of them, and each schedule's sums are taken on
     its own, so a run's numbers do not depend on which runs share the pass.
-    A schedule that evicts nothing loses no mass at any step, so its
-    off-cache mass is 0 with no sums taken.
     """
     n = trace.n
     for evicted_at in schedules:
         if len(evicted_at) != n:
             raise InvalidSpec(f"schedule has n={len(evicted_at)}, trace has n={n}")
-    off = np.zeros((len(schedules), n))
-    evicting = [(run, evicted_at) for run, evicted_at in enumerate(schedules) if np.min(evicted_at) <= n]
-    for lo, e in exact_blocks(trace) if evicting else ():
-        if lo == 0:  # the first block has the most rows, and later ones widen to at most n columns
-            gone_buf = np.empty(len(e) * n, dtype=bool)
-            lost_buf = np.empty(len(e) * n)
+    off = np.empty((len(schedules), n))
+    for lo, e in exact_blocks(trace):
         hi = e.shape[1]
         steps = np.arange(lo + 1, hi + 1)[:, None]
         totals = e.sum(axis=1)
-        gone = gone_buf[: e.size].reshape(e.shape)
-        lost = lost_buf[: e.size].reshape(e.shape)
-        for run, evicted_at in evicting:
+        for run, evicted_at in enumerate(schedules):
             # a future token t > i has evicted_at[t] >= t > i, so only t <= i can count
-            np.less_equal(evicted_at[:hi], steps, out=gone)
-            off[run, lo:hi] = np.multiply(e, gone, out=lost).sum(axis=1) / totals
+            gone = evicted_at[:hi] <= steps
+            off[run, lo:hi] = (e * gone).sum(axis=1) / totals
     return [
         DeviationReport(retained=np.maximum(1.0 - row, 0.0), tv=np.minimum(row, 1.0))
         for row in off

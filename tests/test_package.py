@@ -145,7 +145,7 @@ def test_package_import_loads_no_numpy_and_no_submodule():
 
 # the decode names the package exports, by the module that defines them
 EAGER_EXPORTS = {
-    "attention": ["exact_blocks"],
+    "attention": [],
     "errors": ["KVCacheLabError"],
     "metrics": ["DeviationReport", "HeavyHitterProfile", "deviation_reports", "heavy_hitter_profile", "trace_sparsity"],
     "policies": ["POLICY_KINDS", "PolicyConfig", "decide", "run_policies", "run_policy"],
