@@ -12,9 +12,9 @@ in slot-aligned arrays, steps any number of (policy, budget) cells over one
 trace in one pass (:func:`run_policy` is its one-cell call) and returns each
 cell's eviction schedule ``evicted_at`` (the step at which each token left
 the cache), and :func:`deviation_reports` scores any number of schedules
-against the exact attention map, which :func:`attention.exact_blocks`
-yields in causal row blocks; :func:`heavy_hitter_profile` reads full
-attention's accumulated scores off the same blocks.
+against the exact attention map in one pass over its causal row blocks;
+:func:`heavy_hitter_profile` reads full attention's accumulated scores off
+the same blocks.
 
 Every export loads on first use, so ``import kvcachelab`` imports neither
 numpy nor any submodule until a name is asked for.
@@ -25,10 +25,8 @@ import importlib
 __version__ = "0.1.0"
 
 # module -> the names the package re-exports from it; None means the module's
-# own __all__ (the theory lab, which the decode commands never load); attention
-# exports nothing, since exact_blocks yields views of one buffer it overwrites
+# own __all__ (the theory lab, which the decode commands never load)
 _EXPORTS = {
-    "attention": (),
     "errors": ("KVCacheLabError",),
     "metrics": ("DeviationReport", "HeavyHitterProfile", "deviation_reports", "heavy_hitter_profile", "trace_sparsity"),
     "policies": ("POLICY_KINDS", "PolicyConfig", "decide", "run_policies", "run_policy"),

@@ -15,7 +15,9 @@ Every run writes a manifest JSON next to its outputs recording the fully
 resolved configuration; ``rerun`` replays a manifest and must reproduce the
 CSV outputs byte for byte. Exit codes: 0 success, 2 configuration error
 (argparse's own usage errors, and ``InvalidSpec``: a bad flag value or
-manifest, or a spec the library rejects), 3 I/O error, 4 internal failure.
+manifest, or a spec the library rejects), 3 I/O error (``OSError`` and
+``MalformedTrace``), 4 any other library error. A ``regress`` that does not
+converge exits 0 and writes ``"converged": false``.
 
 Budgets accept an absolute count (``--budget 64``) or a fraction of the
 trace length (``--budget 20%``, floor-rounded, minimum 2). ``compare``
@@ -51,9 +53,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .errors import InvalidSpec, KVCacheLabError, MalformedTrace, MaxIterationsExceeded
+from .errors import InvalidSpec, KVCacheLabError, MalformedTrace
 from .metrics import deviation_reports, heavy_hitter_profile, trace_sparsity
-from .policies import POLICY_KINDS, PolicyConfig, _floor_percent, run_policies, run_policy
+from .policies import POLICY_KINDS, PolicyConfig, resolve_budget, run_policies, run_policy
 from .trace import TRACE_KINDS, SyntheticTraceSpec, generate_trace, load_trace, save_trace
 
 
@@ -89,22 +91,6 @@ def write_manifest(out_dir: Path, command: str, config: dict, inputs: list[str],
     path = out_dir / f"{command}.manifest.json"
     write_json(path, manifest)
     return path
-
-
-def resolve_budget(spec: str, n: int) -> int:
-    """Absolute count, or percentage of n (floored exactly, at least 2)."""
-    spec = str(spec).strip()
-    try:
-        if spec.endswith("%"):
-            if not 0.0 < float(spec[:-1]) <= 100.0:
-                raise ValueError
-            return max(2, _floor_percent(spec[:-1], n))
-        value = int(spec)
-    except ValueError:
-        raise InvalidSpec(f"--budget {spec!r} is neither an integer nor a percentage") from None
-    if value < 1:
-        raise InvalidSpec(f"--budget must be >= 1, got {value}")
-    return value
 
 
 def _policy_from_args(kind: str, budget: int, args) -> PolicyConfig:
@@ -301,10 +287,7 @@ def cmd_regress(args) -> list[str]:
     from .regression import newton_solve, random_problem
 
     problem = random_problem(n=args.n, d=args.d, seed=args.seed)
-    try:
-        result = newton_solve(problem, tol=args.tol)
-    except MaxIterationsExceeded as exc:  # keep the partial trajectory in the CSV
-        result = exc.trajectory
+    result = newton_solve(problem, tol=args.tol)
     out = Path(args.out_dir)
     path = out / "regress.csv"
     rows = [[s.iteration, s.loss, s.grad_norm, s.min_eig] for s in result.states]
@@ -466,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, MalformedTrace) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except (KVCacheLabError, AssertionError) as exc:
+    except KVCacheLabError as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

@@ -2,10 +2,9 @@
 
 Every error raised intentionally by this package derives from
 :class:`KVCacheLabError`, so callers can catch the whole family in one
-clause. Below it there is one class for each way a caller handles an
-error: the CLI exits 2 on :class:`InvalidSpec`, 3 on
-:class:`MalformedTrace` and 4 on the rest, and ``regress`` writes the
-partial trajectory that :class:`MaxIterationsExceeded` carries.
+clause. Below it there is one class per CLI exit code:
+:class:`InvalidSpec` exits 2, :class:`MalformedTrace` 3, and
+:class:`NonFinite`, like any other error of the family, 4.
 """
 
 from __future__ import annotations
@@ -20,27 +19,8 @@ class InvalidSpec(KVCacheLabError):
 
 
 class MalformedTrace(KVCacheLabError):
-    """A trace file cannot be parsed.
-
-    ``byte_offset`` points at the first byte that made the parse fail,
-    when that position is meaningful (binary format only).
-    """
-
-    def __init__(self, message: str, byte_offset: int | None = None):
-        super().__init__(message)
-        self.byte_offset = byte_offset
+    """A trace file cannot be parsed; a binary file's message names the byte."""
 
 
 class NonFinite(KVCacheLabError):
     """A loss/gradient/Hessian evaluation overflowed even after stabilization."""
-
-
-class MaxIterationsExceeded(KVCacheLabError):
-    """Newton solver hit its iteration cap before reaching tolerance.
-
-    Carries the partial trajectory in ``trajectory`` for post-mortems.
-    """
-
-    def __init__(self, message: str, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory

@@ -2,8 +2,8 @@
 
 Task accuracy needs a real model; these proxies measure what an eviction
 policy actually destroys. At step i, with exact shifted exponentials
-``e_it`` (:func:`kvcachelab.attention.exact_blocks`) and the cached set S_i
-after the step's transition, the off-cache mass is
+``e_it`` and the cached set S_i after the step's transition, the off-cache
+mass is
 
     off_i = sum_{t <= i, evicted_at[t] <= i} e_it / sum_{t <= i} e_it
 
@@ -19,18 +19,53 @@ number of runs over the same trace; :func:`trace_sparsity` reads the same
 blocks. So does :func:`heavy_hitter_profile`: under full attention no token
 is ever evicted, so the scores a decode accumulates are the column sums of
 the row-normalised exact map, and the profile runs no decode.
+
+The pass makes one ``Q[lo:hi] @ K[:hi].T`` product per causal row block. A
+block holds about 256 KiB of float64 whatever ``n`` is: large enough for
+GEMM, small enough that the map is never materialized (O(n) rows of
+memory, not O(n^2)). Each row is shifted by its maximum before
+exponentiation; softmax weights are invariant to that shift, and without
+it |logit| beyond ~700 overflows float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .attention import exact_blocks
 from .errors import InvalidSpec
 from .trace import AttentionTrace
+
+# bytes of float64 per exact block
+_BLOCK_BYTES = 2**18
+
+
+def _exact_blocks(trace: AttentionTrace) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(lo, e)`` over causal row blocks of the exact attention map.
+
+    ``e`` has shape ``(hi - lo, hi)``: row ``r`` belongs to step ``i = lo +
+    r + 1`` and holds ``exp(Q_i . K_t - max_t)`` for tokens ``t <= i`` (so
+    its largest entry is 1) and exact zeros for the future tokens beyond
+    ``i``. Dividing a row by its sum gives the exact weights of step ``i``.
+
+    ``e`` is a view of the pass's one buffer, which the next block
+    overwrites: use it before asking for the next block.
+    """
+    n = trace.n
+    rows = min(n, max(1, _BLOCK_BYTES // (8 * n)))
+    buf = np.empty(rows * n)
+    # the future tokens of a block's rows: the triangle right of its diagonal
+    future = np.triu(np.ones((rows, rows), dtype=bool), 1)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        logits = buf[: (hi - lo) * hi].reshape(hi - lo, hi)
+        np.matmul(trace.q[lo:hi], trace.k[:hi].T, out=logits)
+        # future columns become -inf, whose shifted exp is exactly 0 (no warning)
+        np.copyto(logits[:, lo:], -np.inf, where=future[: hi - lo, : hi - lo])
+        logits -= logits.max(axis=1, keepdims=True)
+        yield lo, np.exp(logits, out=logits)
 
 
 # --- attention sparsity ----------------------------------------------------
@@ -49,7 +84,7 @@ def trace_sparsity(trace: AttentionTrace, threshold_frac: float = 0.01) -> np.nd
         raise InvalidSpec("threshold_frac must lie in (0, 1)")
     n = trace.n
     fracs = np.empty(n)
-    for lo, e in exact_blocks(trace):
+    for lo, e in _exact_blocks(trace):
         hi = e.shape[1]
         fracs[lo:hi] = ((e < threshold_frac).sum(axis=1) + (n - hi)) / n
     return fracs
@@ -85,7 +120,7 @@ def deviation_reports(trace: AttentionTrace, schedules: Sequence[np.ndarray]) ->
         if len(evicted_at) != n:
             raise InvalidSpec(f"schedule has n={len(evicted_at)}, trace has n={n}")
     off = np.empty((len(schedules), n))
-    for lo, e in exact_blocks(trace):
+    for lo, e in _exact_blocks(trace):
         hi = e.shape[1]
         steps = np.arange(lo + 1, hi + 1)[:, None]
         totals = e.sum(axis=1)
@@ -134,7 +169,7 @@ def heavy_hitter_profile(trace: AttentionTrace) -> HeavyHitterProfile:
     """
     n = trace.n
     raw = np.zeros(n)
-    for _, e in exact_blocks(trace):
+    for _, e in _exact_blocks(trace):
         e /= e.sum(axis=1, keepdims=True)
         raw[:e.shape[1]] += e.sum(axis=0)
     tokens = np.arange(1, n + 1)

@@ -113,6 +113,22 @@ def _floor_percent(text: str, n: int) -> int:
     return num * 10**shift // 100 if shift >= 0 else num // (100 * 10**-shift)
 
 
+def resolve_budget(spec: str, n: int) -> int:
+    """Absolute count, or percentage of n (floored exactly, at least 2)."""
+    spec = str(spec).strip()
+    try:
+        if spec.endswith("%"):
+            if not 0.0 < float(spec[:-1]) <= 100.0:
+                raise ValueError
+            return max(2, _floor_percent(spec[:-1], n))
+        value = int(spec)
+    except ValueError:
+        raise InvalidSpec(f"--budget {spec!r} is neither an integer nor a percentage") from None
+    if value < 1:
+        raise InvalidSpec(f"--budget must be >= 1, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     """Which policy to run and its knobs.

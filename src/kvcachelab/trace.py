@@ -147,23 +147,28 @@ def _scaled_key_trace(n: int, d: int, scales: np.ndarray, rng: np.random.Generat
     Every key sits at a fixed angle to a common unit direction ``v`` and
     queries point along ``v`` with additive noise, so the logit of token j
     is roughly ``_KEY_GAIN * scales[j] * (_ALIGN +/- noise)``: key norm
-    directly controls how much attention a token draws.
+    directly controls how much attention a token draws. ``w`` becomes the
+    key directions and then the keys in place, so a call never holds more
+    than two (n, d) arrays at once.
     """
     v = _unit(rng.standard_normal(d))
     cross = _ALIGN
     ortho = float(np.sqrt(1.0 - cross * cross))
     if d == 1:
-        directions = np.tile(v, (n, 1))
+        w = np.tile(v, (n, 1))
     else:
         w = rng.standard_normal((n, d))
         w -= np.outer(w @ v, v)
         norms = np.linalg.norm(w, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         w /= norms
-        directions = cross * v[None, :] + ortho * w
-    k = _KEY_GAIN * scales[:, None] * directions
-    q = v[None, :] + _QUERY_NOISE * rng.standard_normal((n, d))
-    return q, k
+        w *= ortho
+        w += cross * v
+    w *= _KEY_GAIN * scales[:, None]
+    q = rng.standard_normal((n, d))
+    q *= _QUERY_NOISE
+    q += v
+    return q, w
 
 
 def generate_trace(spec: SyntheticTraceSpec) -> AttentionTrace:
@@ -425,25 +430,22 @@ def _json_blocks(members: dict, path: str) -> tuple[np.ndarray, np.ndarray]:
 def _binary_blocks(body: bytes, path: str) -> tuple[np.ndarray, np.ndarray]:
     """A KVT1 file's Q and K blocks, checked against its header and for non-finite entries.
 
-    ``body`` is the file after its magic bytes. Every message and
-    ``byte_offset`` counts the magic, so it names the file's byte.
+    ``body`` is the file after its magic bytes. Every message names the
+    file's byte, counting the magic.
     """
     at = len(_MAGIC)  # the file offset of body[0]
     if len(body) < _SIZES.size:
-        raise MalformedTrace(f"{path}: truncated header", byte_offset=at + len(body))
+        raise MalformedTrace(f"{path}: truncated header at byte {at + len(body)}")
     n, d = _SIZES.unpack_from(body)
     if n < 1 or d < 1:
-        raise MalformedTrace(f"{path}: header claims n={n}, d={d}", byte_offset=at)
+        raise MalformedTrace(f"{path}: header at byte {at} claims n={n}, d={d}")
     need = _SIZES.size + 2 * n * d * 8
     if len(body) != need:
-        raise MalformedTrace(
-            f"{path}: expected {at + need} bytes for n={n}, d={d}, found {at + len(body)}",
-            byte_offset=at + min(len(body), need),
-        )
+        raise MalformedTrace(f"{path}: expected {at + need} bytes for n={n}, d={d}, found {at + len(body)}")
     flat = np.frombuffer(body, dtype="<f8", count=2 * n * d, offset=_SIZES.size)
     if not np.isfinite(flat).all():
         off = at + _SIZES.size + int(np.flatnonzero(~np.isfinite(flat))[0]) * 8
-        raise MalformedTrace(f"{path}: non-finite entry", byte_offset=off)
+        raise MalformedTrace(f"{path}: non-finite entry at byte {off}")
     return flat[: n * d].reshape(n, d), flat[n * d :].reshape(n, d)
 
 

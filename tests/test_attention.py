@@ -8,7 +8,7 @@ import pytest
 
 import kvcachelab as kl
 import reference_engine as ref
-from kvcachelab.attention import _BLOCK_BYTES, exact_blocks
+from kvcachelab.metrics import _BLOCK_BYTES, _exact_blocks
 
 # The blocks come from one GEMM per block where the reference takes one gemv
 # per row, so they may differ from it in the last bits: a few ulps, bounded
@@ -28,12 +28,12 @@ def _random_traces(count, n, d, kind="uniform-gaussian"):
 def _exact(trace):
     """Exact weights from the blocks: row i - 1 holds step i's weights over 1..n."""
     w = np.zeros((trace.n, trace.n))
-    for lo, e in exact_blocks(trace):
+    for lo, e in _exact_blocks(trace):
         w[lo:lo + len(e), :e.shape[1]] = e / e.sum(axis=1, keepdims=True)
     return w
 
 
-# --- exact_blocks ----------------------------------------------------------------
+# --- _exact_blocks ---------------------------------------------------------------
 
 def test_first_step_is_certain():
     t = _trace([[3.0, -1.0]], [[0.5, 2.0]])
@@ -104,7 +104,7 @@ def test_blocks_match_row_by_row_softmax(n):
 def test_blocks_equal_one_fresh_product_per_block(n):
     # every block, bit for bit, is Q[lo:hi] @ K[:hi].T with the future masked, shifted and exponentiated
     for t in _random_traces(1, n, 16, kind="power-law-keys"):
-        for lo, e in exact_blocks(t):
+        for lo, e in _exact_blocks(t):
             hi = e.shape[1]
             logits = t.q[lo:hi] @ t.k[:hi].T
             logits[np.arange(hi) > np.arange(lo, hi)[:, None]] = -np.inf
@@ -116,7 +116,7 @@ def test_exact_pass_holds_one_block():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=2048, d=8, seed=1))
     tracemalloc.start()
     try:
-        for _ in exact_blocks(t):
+        for _ in _exact_blocks(t):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:

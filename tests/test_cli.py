@@ -194,7 +194,6 @@ EXIT_CODES = {
     "InvalidSpec": (2, "error: "),
     "MalformedTrace": (3, "io error: "),
     "NonFinite": (4, "internal error: "),
-    "MaxIterationsExceeded": (4, "internal error: "),
     "KVCacheLabError": (4, "internal error: "),
 }
 
@@ -409,6 +408,15 @@ def test_regress_reaches_tolerance(tmp_path):
     assert float(rows[-1]["grad_norm"]) <= 1e-10
     summary = json.loads((out / "regress.summary.json").read_text())
     assert summary["converged"] is True
+
+
+def test_regress_past_its_iteration_cap_writes_the_trajectory(tmp_path):
+    # tol 0 is out of reach, so the solver stops at its cap of 30 iterations
+    out = tmp_path / "reg"
+    assert run("regress", "--n", 10, "--d", 4, "--seed", 3, "--tol", "0", "--out-dir", out) == 0
+    assert [int(r["iter"]) for r in _read_csv(out / "regress.csv")] == list(range(31))
+    summary = json.loads((out / "regress.summary.json").read_text())
+    assert summary["converged"] is False and summary["iterations"] == 30
 
 
 def test_rerun_reproduces_bytes(tmp_path):

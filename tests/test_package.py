@@ -33,6 +33,23 @@ def test_every_import_is_used(path):
     assert sorted(set(_imported_names(tree)) - used) == []
 
 
+def _private_sibling_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("kvcachelab")):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.endswith("__"):
+                    yield f"{node.module or '.'}.{alias.name}"
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a private name belongs to its module; a sibling that needs it needs a public function
+    found = {
+        path.name: sorted(_private_sibling_imports(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in MODULES
+    }
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def _raised_names(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise) and node.exc is not None:
@@ -145,7 +162,6 @@ def test_package_import_loads_no_numpy_and_no_submodule():
 
 # the decode names the package exports, by the module that defines them
 EAGER_EXPORTS = {
-    "attention": [],
     "errors": ["KVCacheLabError"],
     "metrics": ["DeviationReport", "HeavyHitterProfile", "deviation_reports", "heavy_hitter_profile", "trace_sparsity"],
     "policies": ["POLICY_KINDS", "PolicyConfig", "decide", "run_policies", "run_policy"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kvcachelab.regression as regression
-from kvcachelab.errors import InvalidSpec, MaxIterationsExceeded, NonFinite
+from kvcachelab.errors import InvalidSpec, NonFinite
 from kvcachelab.regression import (
     RegressionProblem,
     _exp_z,
@@ -299,12 +299,12 @@ def test_newton_evaluates_gradient_and_hessian_once_per_iterate(monkeypatch, see
     assert calls == {"gradient": r.iterations + 1, "hessian": r.iterations + 1}
 
 
-def test_max_iterations_exceeded_carries_trajectory():
+def test_iteration_cap_returns_the_unconverged_trajectory():
     p = random_problem(n=8, d=4, seed=3, regime="strong")
-    with pytest.raises(MaxIterationsExceeded) as err:
-        newton_solve(p, x0=np.full(4, 0.3), tol=1e-10, max_iter=0)
-    assert err.value.trajectory is not None
-    assert not err.value.trajectory.converged
+    r = newton_solve(p, x0=np.full(4, 0.3), tol=1e-10, max_iter=0)
+    assert not r.converged
+    assert len(r.states) == 1 and r.iterations == 0
+    assert np.array_equal(r.x, np.full(4, 0.3))
 
 
 def test_sparsity_pressure_is_monotone():
