@@ -31,6 +31,7 @@ __all__ = [
     "greedy",
     "robust_greedy",
     "robust_greedy_floor",
+    "verify_greedy",
 ]
 
 GREEDY_RATIO = 1.0 - 1.0 / math.e
@@ -165,3 +166,50 @@ def robust_greedy_floor(opt_value: float, k: int, eps: float) -> float:
     """Guaranteed value under eps-noisy gains: (1-1/e)*opt - k(2-1/e)*eps."""
     return GREEDY_RATIO * opt_value - k * (2.0 - 1.0 / math.e) * eps
 
+
+def _random_instance(rng: np.random.Generator) -> tuple[SubmodularInstance, int]:
+    """A random modular, budget-additive or coverage instance on 6-12 elements, and a budget of 1-4."""
+    n = int(rng.integers(6, 13))
+    k = int(rng.integers(1, 5))
+    kind = ("modular", "budget_additive", "coverage")[int(rng.integers(3))]
+    if kind == "modular":
+        inst = SubmodularInstance.modular(rng.random(n) * 10)
+    elif kind == "budget_additive":
+        inst = SubmodularInstance.budget_additive(rng.random(n) * 10, cap=float(rng.random() * 15))
+    else:
+        universe = int(rng.integers(5, 15))
+        sets = [set(rng.choice(universe, size=rng.integers(1, universe), replace=False).tolist()) for _ in range(n)]
+        inst = SubmodularInstance.coverage(sets)
+    return inst, k
+
+
+def verify_greedy(instances: int, eps: float, seed: int) -> dict:
+    """Check greedy and robust greedy against brute force on random instances.
+
+    Each instance counts a violation when greedy falls below ``GREEDY_RATIO``
+    of the optimum, and another when robust greedy under an ``eps``-noisy
+    oracle falls below :func:`robust_greedy_floor`. Returns the report:
+    the instance count, ``eps``, the violations, the worst greedy/optimum
+    ratio and the guarantee. Equal arguments give equal reports.
+    """
+    rng = np.random.default_rng(seed)
+    violations = 0
+    worst_ratio = 1.0
+    for _ in range(instances):
+        inst, k = _random_instance(rng)
+        opt = brute_force_opt(inst, k)
+        sel = greedy(inst, k)
+        if opt.value > 0:
+            worst_ratio = min(worst_ratio, sel.value / opt.value)
+        if sel.value < GREEDY_RATIO * opt.value - 1e-9:
+            violations += 1
+        noisy = robust_greedy(NoisyOracle(inst, eps=eps, seed=int(rng.integers(2**62))), k)
+        if noisy.value < robust_greedy_floor(opt.value, k, eps) - 1e-9:
+            violations += 1
+    return {
+        "instances": instances,
+        "noise_eps": eps,
+        "violations": violations,
+        "worst_ratio": worst_ratio,
+        "guarantee": GREEDY_RATIO,
+    }

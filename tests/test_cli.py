@@ -398,6 +398,15 @@ def test_submodular_verify_zero_violations(tmp_path):
     report = json.loads((out / "submodular.report.json").read_text())
     assert report["violations"] == 0
     assert report["worst_ratio"] >= report["guarantee"] - 1e-9
+    # the exact bytes pin the order of the instance draws: at 40 instances
+    # greedy is optimal on every one, at 300 one instance sets the worst ratio
+    expected = (
+        '{\n  "guarantee": 0.6321205588285577,\n  "instances": %d,\n  "noise_eps": 0.1,\n'
+        '  "violations": 0,\n  "worst_ratio": %s\n}\n'
+    )
+    assert (out / "submodular.report.json").read_text() == expected % (40, "1.0")
+    assert run("submodular-verify", "--instances", 300, "--seed", 1, "--out-dir", out) == 0
+    assert (out / "submodular.report.json").read_text() == expected % (300, "0.9090909090909091")
 
 
 def test_regress_reaches_tolerance(tmp_path):

@@ -108,6 +108,36 @@ def test_cli_import_leaves_the_theory_lab_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+_UNUSED_BY_BINARY_TRACES = ("kvcachelab.jsontrace", "kvcachelab.regression", "kvcachelab.submodular")
+
+
+def _modules_after_main(*commands):
+    """The modules of ``_UNUSED_BY_BINARY_TRACES`` that a fresh interpreter holds after ``cli.main`` runs each command."""
+    code = (
+        "import sys; import kvcachelab.cli as cli\n"
+        f"for argv in {[list(map(str, c)) for c in commands]!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        f"print(*sorted(m for m in sys.modules if m in {_UNUSED_BY_BINARY_TRACES!r}))"
+    )
+    return _fresh_python(code)
+
+
+def test_binary_trace_commands_leave_the_json_codec_and_the_lab_unloaded(tmp_path):
+    # simulate and compare on a KVT1 trace run no JSON reader and no theory lab
+    trace = tmp_path / "t.kvt"
+    kvcachelab.save_trace(kvcachelab.generate_trace(kvcachelab.SyntheticTraceSpec(n=48, d=8, seed=5)), trace)
+    assert _modules_after_main(
+        ["simulate", "--trace", trace, "--out-dir", tmp_path / "sim"],
+        ["compare", "--trace", trace, "--policies", "h2o,local", "--out-dir", tmp_path / "cmp"],
+    ) == []
+    # a JSON trace loads the codec, and nothing else of the three
+    json_trace = tmp_path / "t.json"
+    kvcachelab.save_trace(kvcachelab.load_trace(trace), json_trace)
+    assert _modules_after_main(["profile", "--trace", json_trace, "--out-dir", tmp_path / "prof"]) == [
+        "kvcachelab.jsontrace"
+    ]
+
+
 def test_lab_exports_resolve_on_first_use():
     from kvcachelab import GREEDY_RATIO, newton_solve
     from kvcachelab.regression import newton_solve as direct

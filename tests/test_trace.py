@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kvcachelab as kl
+from kvcachelab import jsontrace
 from kvcachelab.errors import InvalidSpec, MalformedTrace
 from kvcachelab.trace import _scaled_key_trace
 
@@ -251,9 +252,9 @@ def test_json_load_matches_json_loads_property(
 READ_SIZES = (1, 2, 3, 7, 64)
 
 
-def _load_outcome(path, read_bytes: int = kl.trace._READ_BYTES):
+def _load_outcome(path, read_bytes: int = jsontrace._READ_BYTES):
     """What a load through reads of ``read_bytes`` gives: the blocks' bytes, or the error."""
-    with mock.patch.object(kl.trace, "_READ_BYTES", read_bytes):
+    with mock.patch.object(jsontrace, "_READ_BYTES", read_bytes):
         try:
             t = kl.load_trace(path)
         except MalformedTrace as exc:
@@ -290,7 +291,7 @@ def test_n_whose_digits_straddle_a_read_loads(tmp_path):
     path = tmp_path / "t.json"
     kl.save_trace(t, path)
     assert path.read_bytes()[:7] == b'{"n": 1'  # the first 7-byte read ends inside n = 12
-    with mock.patch.object(kl.trace, "_READ_BYTES", 7):
+    with mock.patch.object(jsontrace, "_READ_BYTES", 7):
         assert kl.load_trace(path) == t
 
 
@@ -309,8 +310,8 @@ def test_numbers_split_by_a_read_load(tmp_path):
 def test_unknown_value_over_many_reads_costs_few_parses(tmp_path):
     path = tmp_path / "t.json"
     path.write_text(_LONG_UNKNOWN, encoding="utf-8")
-    scan = mock.Mock(wraps=kl.trace._SCAN)
-    with mock.patch.object(kl.trace, "_SCAN", scan), mock.patch.object(kl.trace, "_READ_BYTES", 1):
+    scan = mock.Mock(wraps=jsontrace._SCAN)
+    with mock.patch.object(jsontrace, "_SCAN", scan), mock.patch.object(jsontrace, "_READ_BYTES", 1):
         assert kl.load_trace(path).n == 1
     # each retry at least doubles the window: log2(15 KB) parses of the value,
     # not one per read; the other six values take a few each
@@ -343,7 +344,7 @@ def test_json_syntax_error_names_the_file_offset(tmp_path, text):
     assert err.value.pos > 7  # past the first 7-byte read
     path = tmp_path / "t.json"
     path.write_text(text, encoding="utf-8")
-    for size in (*READ_SIZES, kl.trace._READ_BYTES):
+    for size in (*READ_SIZES, jsontrace._READ_BYTES):
         assert _json_error_place(_load_outcome(path, size)) == _json_error_place(str(err.value)), size
 
 
@@ -352,14 +353,14 @@ def test_invalid_utf8_names_the_file_byte(tmp_path, tail, reason):
     raw = _NON_ASCII.encode()[:-1] + b', "x": "' + tail
     path = tmp_path / "t.json"
     path.write_bytes(raw)
-    for size in (*READ_SIZES, kl.trace._READ_BYTES):
+    for size in (*READ_SIZES, jsontrace._READ_BYTES):
         assert f"invalid UTF-8 at byte {len(raw) - 1}: {reason}" in _load_outcome(path, size), size
 
 
-@pytest.mark.parametrize("extra_rows", [-1, 0, 1, kl.trace._CHUNK_ENTRIES // 4 + 1])
+@pytest.mark.parametrize("extra_rows", [-1, 0, 1, jsontrace._CHUNK_ENTRIES // 4 + 1])
 def test_json_blocks_spanning_chunks_load_bit_equal(tmp_path, extra_rows):
     d = 4
-    n = kl.trace._CHUNK_ENTRIES // d + extra_rows
+    n = jsontrace._CHUNK_ENTRIES // d + extra_rows
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=n, d=d, kind="power-law-keys", seed=5))
     path = tmp_path / "t.json"
     kl.save_trace(t, path)
@@ -367,7 +368,7 @@ def test_json_blocks_spanning_chunks_load_bit_equal(tmp_path, extra_rows):
 
 
 def test_ragged_row_in_a_later_chunk_is_malformed(tmp_path):
-    n = kl.trace._CHUNK_ENTRIES + 3
+    n = jsontrace._CHUNK_ENTRIES + 3
     rows = [[float(i)] for i in range(n)]
     rows[-2] = [0.0, 1.0]
     path = tmp_path / "t.json"
