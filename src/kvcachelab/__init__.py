@@ -24,28 +24,29 @@ import importlib
 
 __version__ = "0.1.0"
 
-# module -> the names the package re-exports from it; None means the module's
-# own __all__ (the theory lab, which the decode commands never load)
+# module -> the names the package re-exports from it; a lab module's names are
+# its own __all__, kept equal by a test
 _EXPORTS = {
     "errors": ("KVCacheLabError",),
     "metrics": ("DeviationReport", "HeavyHitterProfile", "deviation_reports", "heavy_hitter_profile", "trace_sparsity"),
     "policies": ("POLICY_KINDS", "PolicyConfig", "decide", "run_policies", "run_policy"),
     "trace": ("AttentionTrace", "SyntheticTraceSpec", "generate_trace", "load_trace", "save_trace"),
-    "regression": None,
-    "submodular": None,
+    "regression": ("LossBreakdown", "NewtonResult", "RegressionProblem", "gradient", "hessian", "loss",
+                   "newton_solve", "random_problem"),
+    "submodular": ("GREEDY_RATIO", "NoisyOracle", "Selection", "SubmodularInstance", "brute_force_opt", "greedy",
+                   "robust_greedy", "robust_greedy_floor", "verify_greedy"),
 }
+_LAB = ("regression", "submodular")  # the theory lab, which the decode commands never load
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for names in _EXPORTS.values() if names for name in names]
+# a star import loads the decode modules, not the lab
+__all__ = [name for module, names in _EXPORTS.items() if module not in _LAB for name in names]
 
 
 def __getattr__(name: str):
     if name in _EXPORTS:
         return importlib.import_module(f".{name}", __name__)
-    if not name.startswith("_"):
-        for module_name, names in _EXPORTS.items():
-            if names is None or name in names:
-                module = importlib.import_module(f".{module_name}", __name__)
-                if name in (names or module.__all__):
-                    value = globals()[name] = getattr(module, name)
-                    return value
+    if name in _HOME:
+        value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,14 +7,16 @@ calls :func:`write` for a ``.json`` path and :func:`read` for a file without
 the KVT1 magic, and imports this module only then, so a command on a binary
 trace never loads it.
 
-The reader walks the top-level object itself, reads the ``Q`` and ``K``
-blocks one row at a time, and decodes the file through a window of about
-one fixed-size read, so a load holds the blocks and one window, never the
-whole document.
+The reader walks the top-level object itself, decodes the file through a
+window of about one fixed-size read, and appends the ``Q`` and ``K`` blocks
+one row at a time to one float64 buffer each, which becomes the block
+without a copy. So a load holds the two blocks, one row's Python floats and
+one window, never the whole document.
 """
 
 from __future__ import annotations
 
+import array
 import codecs
 import json
 import re
@@ -27,9 +29,6 @@ from .errors import MalformedTrace
 _JSON_NUMBERS = {int, float}
 _SCAN = json.JSONDecoder().scan_once  # the C scanner: (value, end) or StopIteration(idx)
 _WS = re.compile(r"[ \t\n\r]*")  # JSON whitespace, as the json module skips it
-# Rows of a block are packed into a float64 chunk once they hold this many
-# entries, so at most one chunk of a block is alive as Python floats.
-_CHUNK_ENTRIES = 1 << 14
 # Bytes of one read of a JSON file: the parser's window is the unparsed tail
 # of the text plus the reads since, so a load holds about one read's text
 # whatever the file's size.
@@ -200,8 +199,10 @@ def _json_block(window: _Window) -> np.ndarray | None:
     Returns the block, or None if the value is JSON but not a non-empty list
     of equal-length rows of numbers within float64's range; either way the
     cursor moves past the value. Text that is not JSON raises ``ValueError``.
+    Each checked row is appended to one float64 buffer, which the block
+    views, so the block is held once, beside one row's Python floats.
     """
-    chunks, rows, width = [], [], None
+    block, rows, width = array.array("d"), 0, None
     read = ""  # the value's parsed part, as ``_Window.value`` takes it
     if window.peek() == "[":
         window.pos += 1
@@ -211,20 +212,18 @@ def _json_block(window: _Window) -> np.ndarray | None:
             read = "[0"
             if width is None:
                 width = len(row)
-            # a string or boolean entry would otherwise become a float
+            # the buffer would take a boolean entry as a float
             if len(row) != width or not set(map(type, row)) <= _JSON_NUMBERS:
                 break
-            rows.append(row)
+            try:
+                block.extend(row)
+            except OverflowError:  # an integer beyond float64's range
+                break
+            rows += 1
             after = window.peek()
-            if after == "]" or len(rows) * width >= _CHUNK_ENTRIES:
-                try:
-                    chunks.append(np.array(rows, dtype=np.float64))
-                except OverflowError:  # an integer beyond float64's range
-                    break
-                rows = []
             if after == "]":
                 window.pos += 1
-                return np.concatenate(chunks)
+                return np.frombuffer(block).reshape(rows, width)
             if after != ",":
                 break
             window.pos += 1

@@ -135,10 +135,11 @@ def test_json_file_bytes_are_pinned(tmp_path):
     assert path.read_text(encoding="utf-8") == json.dumps(doc)
 
 
-@pytest.mark.parametrize("d, bound", [(16, 1.5), (64, 1.0)], ids=["d16-1.5x", "d64-1.0x"])
+@pytest.mark.parametrize("d, bound", [(16, 0.8), (64, 0.52)], ids=["d16-0.8x", "d64-0.52x"])
 def test_json_load_peak_memory_stays_within_file_size_bound(tmp_path, d, bound):
-    # the text is read through a fixed window and the rows one chunk at a
-    # time, so the peak is Q and K, AttentionTrace's copies and one window
+    # the text is read through a fixed window and each block is appended to
+    # one float64 buffer row by row, so the peak is Q, K, one row's floats
+    # and one window: no block is held twice
     path = tmp_path / "t.json"
     kl.save_trace(kl.generate_trace(kl.SyntheticTraceSpec(n=2048, d=d, seed=3)), path)
     tracemalloc.start()
@@ -357,10 +358,11 @@ def test_invalid_utf8_names_the_file_byte(tmp_path, tail, reason):
         assert f"invalid UTF-8 at byte {len(raw) - 1}: {reason}" in _load_outcome(path, size), size
 
 
-@pytest.mark.parametrize("extra_rows", [-1, 0, 1, jsontrace._CHUNK_ENTRIES // 4 + 1])
+# long blocks: 2^14 entries at d=4, one row either side of it, and twice as many rows
+@pytest.mark.parametrize("extra_rows", [-1, 0, 1, 4097])
 def test_json_blocks_spanning_chunks_load_bit_equal(tmp_path, extra_rows):
     d = 4
-    n = jsontrace._CHUNK_ENTRIES // d + extra_rows
+    n = 4096 + extra_rows
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=n, d=d, kind="power-law-keys", seed=5))
     path = tmp_path / "t.json"
     kl.save_trace(t, path)
@@ -368,13 +370,34 @@ def test_json_blocks_spanning_chunks_load_bit_equal(tmp_path, extra_rows):
 
 
 def test_ragged_row_in_a_later_chunk_is_malformed(tmp_path):
-    n = jsontrace._CHUNK_ENTRIES + 3
+    # the second-to-last row of a long block is the one too wide
+    n = (1 << 14) + 3
     rows = [[float(i)] for i in range(n)]
     rows[-2] = [0.0, 1.0]
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"n": n, "d": 1, "Q": rows, "K": rows}))
     with pytest.raises(MalformedTrace):
         kl.load_trace(path)
+
+
+def test_zero_width_rows_give_the_size_message(tmp_path):
+    # rows are counted, so a block of empty rows keeps its (n, 0) shape
+    path = tmp_path / "t.json"
+    path.write_text('{"n": 2, "d": 0, "Q": [[], []], "K": [[], []]}')
+    with pytest.raises(MalformedTrace) as err:
+        kl.load_trace(path)
+    assert str(err.value) == f"{path}: trace needs n >= 1 and d >= 1, got (2, 0)"
+
+
+def test_integer_entries_round_to_the_nearest_float64(tmp_path):
+    # 2^53 + 1 and 2^53 + 3 lie halfway between float64 neighbours: ties go to even
+    path = tmp_path / "t.json"
+    path.write_text(
+        '{"n": 1, "d": 3, "Q": [[9007199254740993, -9007199254740993, 9007199254740995]], "K": [[1, 2, 3]]}'
+    )
+    t = kl.load_trace(path)
+    assert t.q.tolist() == [[2.0**53, -(2.0**53), 2.0**53 + 4]]
+    assert t.k.tolist() == [[1.0, 2.0, 3.0]]
 
 
 def _load_from_fifo(tmp_path, raw: bytes) -> kl.AttentionTrace:
