@@ -24,8 +24,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# module -> the names the package re-exports from it; a lab module's names are
-# its own __all__, kept equal by a test
+# module -> the names the package re-exports from it: the one export list
 _EXPORTS = {
     "errors": ("KVCacheLabError",),
     "metrics": ("DeviationReport", "HeavyHitterProfile", "deviation_reports", "heavy_hitter_profile", "trace_sparsity"),

@@ -110,18 +110,6 @@ def cmd_gen_trace(args) -> list[str]:
     return [args.out]
 
 
-def _mean_eviction_age(evicted_at: np.ndarray) -> float | None:
-    """Mean of ``evicted_at[t - 1] - t`` over the evicted cached tokens.
-
-    Refused tokens (evicted at their own step) are not counted; None when
-    no cached token was evicted.
-    """
-    n = len(evicted_at)
-    age = evicted_at - np.arange(1, n + 1)
-    evicted = (age > 0) & (evicted_at <= n)
-    return float(age[evicted].mean()) if evicted.any() else None
-
-
 def cmd_simulate(args) -> list[str]:
     trace = load_trace(args.trace)
     budget = resolve_budget(args.budget, trace.n)
@@ -130,8 +118,11 @@ def cmd_simulate(args) -> list[str]:
     report = deviation_reports(trace, [evicted_at])[0]
     out = Path(args.out_dir)
     n = trace.n
-    # each step's victim, 0 while the cache fills
+    # each token's age when it left the cache, 0 for a refused token
+    age = evicted_at - np.arange(1, n + 1)
     evicted = evicted_at <= n
+    displaced = evicted & (age > 0)  # evicted from the cache, not refused
+    # each step's victim, 0 while the cache fills
     victim = np.zeros(n + 1, dtype=np.int64)
     victim[evicted_at[evicted]] = np.flatnonzero(evicted) + 1
     # the cache grows by one token per step until it reaches the budget
@@ -151,9 +142,8 @@ def cmd_simulate(args) -> list[str]:
             "mean_retained_mass": report.mean_retained,
             "mean_tv": report.mean_tv,
             "evictions": int(np.count_nonzero(evicted)),
-            # victims that were the incoming token itself
-            "refusals": int(np.count_nonzero(evicted_at == np.arange(1, n + 1))),
-            "mean_eviction_age": _mean_eviction_age(evicted_at),
+            "refusals": int(np.count_nonzero(age == 0)),
+            "mean_eviction_age": float(age[displaced].mean()) if displaced.any() else None,
         },
     )
     return [str(steps_csv), str(summary)]
@@ -270,7 +260,7 @@ def non_negative_int(text: str) -> int:
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--recent-frac", dest="recent_frac", type=float, default=0.5)
+    p.add_argument("--recent-frac", type=float, default=0.5)
     p.add_argument("--sink", type=int, default=4)
     p.add_argument("--stride", type=int, default=8)
 
@@ -283,62 +273,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-trace", help="write a synthetic trace file")
+    def command(name, func, help, trace=True):
+        p = sub.add_parser(name, help=help)
+        if trace:
+            p.add_argument("--trace", required=True)
+        p.add_argument("--out-dir", default="./out")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen-trace", cmd_gen_trace, "write a synthetic trace file", trace=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--kind", default="uniform-gaussian", choices=TRACE_KINDS)
     p.add_argument("--exponent", type=float, default=1.0)
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--out-dir", dest="out_dir", default="./out")
-    p.set_defaults(func=cmd_gen_trace)
 
-    p = sub.add_parser("simulate", help="run one eviction policy over a trace")
-    p.add_argument("--trace", required=True)
+    p = command("simulate", cmd_simulate, "run one eviction policy over a trace")
     p.add_argument("--policy", default="h2o", choices=list(POLICY_KINDS))
     p.add_argument("--budget", default="20%")
     _add_policy_flags(p)
-    p.add_argument("--out-dir", dest="out_dir", default="./out")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="sweep policies over a budget grid")
-    p.add_argument("--trace", required=True)
+    p = command("compare", cmd_compare, "sweep policies over a budget grid")
     p.add_argument("--policies", default="h2o,local")
     p.add_argument("--budgets", default="4%,10%,20%,60%,100%", help="comma list, e.g. 4%%,20%%,64")
     _add_policy_flags(p)
-    p.add_argument("--out-dir", dest="out_dir", default="./out")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sparsity", help="per-row sparsity of exact attention")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--threshold-frac", dest="threshold_frac", type=float, default=0.01)
-    p.add_argument("--out-dir", dest="out_dir", default="./out")
-    p.set_defaults(func=cmd_sparsity)
+    p = command("sparsity", cmd_sparsity, "per-row sparsity of exact attention")
+    p.add_argument("--threshold-frac", type=float, default=0.01)
 
-    p = sub.add_parser("profile", help="heavy-hitter profile under full attention")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--out-dir", dest="out_dir", default="./out")
-    p.set_defaults(func=cmd_profile)
+    command("profile", cmd_profile, "heavy-hitter profile under full attention")
 
-    p = sub.add_parser("submodular-verify", help="greedy bound sweep vs brute force")
+    p = command("submodular-verify", cmd_submodular_verify, "greedy bound sweep vs brute force", trace=False)
     p.add_argument("--instances", type=non_negative_int, default=500)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--out-dir", dest="out_dir", default="./out")
-    p.set_defaults(func=cmd_submodular_verify)
 
-    p = sub.add_parser("regress", help="Newton-solve a random softmax regression")
+    p = command("regress", cmd_regress, "Newton-solve a random softmax regression", trace=False)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--out-dir", dest="out_dir", default="./out")
-    p.set_defaults(func=cmd_regress)
 
     p = sub.add_parser("rerun", help="replay a manifest byte-identically")
     p.add_argument("manifest")
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.set_defaults(func=None)
+    p.add_argument("--out-dir")
 
     return parser
 
@@ -346,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args, argv_command: str) -> int:
     started = time.perf_counter()
     outputs = args.func(args)
-    out_dir = Path(getattr(args, "out_dir", "./out"))
+    out_dir = Path(args.out_dir)
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out_dir")}
     inputs = [str(args.trace)] if getattr(args, "trace", None) else []
     write_manifest(out_dir, argv_command, config, inputs, outputs, seed=getattr(args, "seed", None), started=started)

@@ -116,14 +116,15 @@ def _floor_percent(text: str, n: int) -> int:
 def resolve_budget(spec: str, n: int) -> int:
     """Absolute count, or percentage of n (floored exactly, at least 2)."""
     spec = str(spec).strip()
+    percent = spec.endswith("%")
     try:
-        if spec.endswith("%"):
-            if not 0.0 < float(spec[:-1]) <= 100.0:
-                raise ValueError
-            return max(2, _floor_percent(spec[:-1], n))
-        value = int(spec)
+        value = float(spec[:-1]) if percent else int(spec)
     except ValueError:
         raise InvalidSpec(f"--budget {spec!r} is neither an integer nor a percentage") from None
+    if percent:
+        if not 0.0 < value <= 100.0:
+            raise InvalidSpec(f"--budget {spec!r}: a percentage must lie in (0, 100]")
+        return max(2, _floor_percent(spec[:-1], n))
     if value < 1:
         raise InvalidSpec(f"--budget must be >= 1, got {value}")
     return value
@@ -215,11 +216,10 @@ def decide(policy: PolicyConfig, tokens, weights, scores) -> int:
     scores = np.asarray(scores)
     if scores.shape != tokens.shape:
         raise InvalidSpec(f"{scores.size} accumulated scores for {tokens.size} candidates")
-    if kind in ("h2o", "h2_only"):
-        # h2o shields the window i - r + 1..i; h2_only has none
-        r = policy.recent_budget if kind == "h2o" else 0
-        return _argmin_lowest_token(np.where(tokens <= incoming - r, scores, np.inf), tokens)
-    raise InvalidSpec(f"unknown policy {kind!r}")
+    # h2o or h2_only, the kinds left (PolicyConfig rejects any other): h2o
+    # shields the window i - r + 1..i; h2_only has none
+    r = policy.recent_budget if kind == "h2o" else 0
+    return _argmin_lowest_token(np.where(tokens <= incoming - r, scores, np.inf), tokens)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -249,11 +249,9 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> np.ndarray:
 def run_policies(trace: AttentionTrace, configs: Iterable[PolicyConfig]) -> list[np.ndarray]:
     """Run every config over one trace in one pass; one ``evicted_at`` per config, in order.
 
-    Each schedule equals what a run of its config alone gives, bit for bit.
-    A cell at budget >= n never evicts. The fill is shared: it runs once,
-    and a cell at cache size k < n starts from its state after step k. The
-    cells that share a k then step in lockstep, one budget group at a time
-    (see the module docstring).
+    Each schedule equals what a run of its config alone gives, bit for bit:
+    the fill is shared, and the cells of each cache size k < n then step in
+    lockstep (see the module docstring).
     """
     n, keys, queries = trace.n, trace.k, trace.q
     configs = list(configs)
@@ -277,9 +275,7 @@ def _lockstep(trace: AttentionTrace, configs: list[PolicyConfig], filled: np.nda
     """Decode steps k + 1..n for cells at one cache size k < n, in lockstep.
 
     ``filled`` holds the accumulated scores after step k of the fill (the
-    incoming slot k at 0). Lane l's cache is row l of stacked slot arrays;
-    each step is one stacked product and one row-wise softmax over all
-    lanes, then each lane decides and admits on its own rows.
+    incoming slot k at 0).
     """
     n, keys, queries = trace.n, trace.k, trace.q
     k = filled.size - 1

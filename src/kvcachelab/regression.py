@@ -39,17 +39,6 @@ import numpy as np
 
 from .errors import InvalidSpec, NonFinite
 
-__all__ = [
-    "LossBreakdown",
-    "NewtonResult",
-    "RegressionProblem",
-    "gradient",
-    "hessian",
-    "loss",
-    "newton_solve",
-    "random_problem",
-]
-
 _LOG_MAX = math.log(np.finfo(np.float64).max)  # ~709.78
 
 

@@ -22,18 +22,6 @@ import numpy as np
 
 from .errors import InvalidSpec
 
-__all__ = [
-    "GREEDY_RATIO",
-    "NoisyOracle",
-    "Selection",
-    "SubmodularInstance",
-    "brute_force_opt",
-    "greedy",
-    "robust_greedy",
-    "robust_greedy_floor",
-    "verify_greedy",
-]
-
 GREEDY_RATIO = 1.0 - 1.0 / math.e
 
 _ENUM_CAP = 22  # brute force enumerates C(n, k) subsets; keep n at desk scale

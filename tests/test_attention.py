@@ -1,4 +1,4 @@
-"""Exact attention blocks and the reference's restricted softmax: hand oracles and properties."""
+"""The exact pass (``metrics._exact_blocks``) and the reference's restricted softmax: hand oracles and properties."""
 
 import math
 import tracemalloc

@@ -217,6 +217,18 @@ def test_simulate_bad_budget_is_config_error(tmp_path):
     assert run("simulate", "--trace", trace, "--budget", "x", "--out-dir", tmp_path) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--budget", "0%"),
+    ("simulate", "--budget", "150%"),
+    ("compare", "--budgets", "4%,150%"),
+], ids=["simulate-0%", "simulate-150%", "compare-150%"])
+def test_budget_percentage_out_of_range_names_the_range(tmp_path, capsys, argv):
+    # a percentage out of range is still a percentage: the error gives the range
+    assert run(*argv, "--trace", _gen(tmp_path), "--out-dir", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "a percentage must lie in (0, 100]" in err and "neither" not in err
+
+
 def test_compare_grid_and_full_row_equality(tmp_path):
     trace = _gen(tmp_path, n=40)
     out = tmp_path / "cmp"
@@ -439,6 +451,18 @@ def test_rerun_reproduces_bytes(tmp_path):
     assert (first / "simulate.summary.json").read_bytes() == (second / "simulate.summary.json").read_bytes()
 
 
+def test_rerun_of_a_null_budget_grid_runs_the_default_grid(tmp_path):
+    # a null config value is left to the flag's default, as in older compare manifests
+    trace = _gen(tmp_path, n=40)
+    first, second = tmp_path / "r1", tmp_path / "r2"
+    assert run("compare", "--trace", trace, "--policies", "h2o,local", "--out-dir", first) == 0
+    manifest = json.loads((first / "compare.manifest.json").read_text())
+    manifest["config"]["budgets"] = None
+    (first / "compare.manifest.json").write_text(json.dumps(manifest))
+    assert run("rerun", first / "compare.manifest.json", "--out-dir", second) == 0
+    assert (second / "compare.csv").read_bytes() == (first / "compare.csv").read_bytes()
+
+
 @pytest.mark.parametrize("manifest", [
     "[1, 2]",
     '"str"',
@@ -448,8 +472,9 @@ def test_rerun_reproduces_bytes(tmp_path):
     '{"command": "rerun"}',
     '{"command": "rerun", "config": {"manifest": "bad.manifest.json"}}',
     '{"command": "simulate", "config": {"nope": 1}}',
+    "command = simulate",
 ], ids=["list", "string", "int-command", "list-config", "unknown-command", "rerun",
-        "rerun-with-manifest", "unknown-flag"])
+        "rerun-with-manifest", "unknown-flag", "not-json"])
 def test_rerun_bad_manifest_is_config_error(tmp_path, manifest):
     path = tmp_path / "bad.manifest.json"
     path.write_text(manifest)
@@ -476,10 +501,13 @@ def test_rerun_bad_manifest_is_config_error(tmp_path, manifest):
     ("gen-trace", "--n", "8", "--d", "4", "--kind", "power-law-keys", "--exponent", "nan"),
     ("simulate", "--policy", "sparse_strided", "--stride", "99999999999999999999999"),
     ("compare", "--policies", "h2o,sparse_fixed", "--stride", "99999999999999999999999"),
+    ("simulate", "--budget", "0"),
+    ("simulate", "--policy", "sink_local", "--sink", "-1"),
 ], ids=["n0", "negative-exponent", "n-below-d", "n0-d0", "d0", "negative-eps", "full-below-n",
         "compare-full", "gen-trace-negative-seed", "submodular-negative-seed",
         "regress-negative-seed", "negative-instances", "nan-eps", "inf-eps", "nan-tol",
-        "negative-tol", "nan-exponent", "simulate-int64-stride", "compare-int64-stride"])
+        "negative-tol", "nan-exponent", "simulate-int64-stride", "compare-int64-stride",
+        "budget-0", "negative-sink"])
 def test_library_spec_errors_are_config_errors(tmp_path, argv):
     if argv[0] == "gen-trace":
         argv += ("--out", tmp_path / "t.kvt")

@@ -82,6 +82,17 @@ def _read_names(tree):
             yield node.attr
 
 
+def _assigns_all(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return any(isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "__all__"
+               for node in ast.walk(tree))
+
+
+def test_the_package_table_is_the_only_export_list():
+    # _EXPORTS names every export; a module's own __all__ would be a second list to keep equal
+    assert [path.name for path in MODULES if _assigns_all(path)] == ["__init__.py"]
+
+
 def test_every_export_is_used_by_the_library():
     # a public name that no library module reads is code that no command runs
     exported = {name for names in kvcachelab._EXPORTS.values() for name in names}
@@ -145,8 +156,7 @@ def test_lab_exports_resolve_on_first_use():
 
     for lab in (regression, submodular):
         # the package's table names each lab export, so a lookup imports only its home
-        assert lab.__all__ == list(kvcachelab._EXPORTS[lab.__name__.rpartition(".")[2]])
-        for name in lab.__all__:
+        for name in kvcachelab._EXPORTS[lab.__name__.rpartition(".")[2]]:
             assert getattr(kvcachelab, name) is getattr(lab, name)
     with pytest.raises(AttributeError):
         kvcachelab.no_such_name

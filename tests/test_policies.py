@@ -119,6 +119,14 @@ def test_h2o_missing_scores_is_inconsistent():
         decide(cfg, [1, 2, 3], [0.0, 0.0, 0.0], [0.5])
 
 
+@pytest.mark.parametrize("kind", kl.POLICY_KINDS)
+def test_decide_on_a_one_token_cache_is_rejected(kind):
+    # the incoming token alone: there is no cache to evict from
+    cfg = kl.PolicyConfig(kind=kind, budget=1)
+    with pytest.raises(InvalidSpec, match="empty cache"):
+        decide(cfg, [1], [1.0], [1.0])
+
+
 def test_tied_scores_in_reverse_slot_order_evict_the_lower_token():
     # token 7 sits in an earlier slot than token 3, but ties go to the lowest token
     tokens = [7, 3, 9, 10]

@@ -1,5 +1,7 @@
 """Loss/gradient/Hessian oracles and the Newton solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from kvcachelab.regression import (
     newton_solve,
     random_problem,
 )
+from kvcachelab.submodular import SubmodularInstance
 
 
 def _problem(n=5, d=3, seed=0, sparse_weight=1.0, w_scale=1.0, radius=0.8):
@@ -113,6 +116,37 @@ def test_problem_validation():
             RegressionProblem(a=np.zeros(shape), b=np.full(shape[0], 0.2), w=np.ones(shape[0]))
     with pytest.raises(InvalidSpec):  # 2**63 bytes of A: more than numpy can index
         random_problem(n=2**59, d=2)
+
+
+_EYE, _B, _W = np.eye(3), np.full(3, 0.2), np.ones(3)
+
+
+# each lab entry point's rejection of bad input, one case per raise
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: RegressionProblem(a=_EYE, b=_B[:2], w=_W), InvalidSpec, "length-n"),
+    (lambda: RegressionProblem(a=_EYE, b=_B, w=_W[:2]), InvalidSpec, "length-n"),
+    (lambda: RegressionProblem(a=np.diag([1.0, np.nan, 1.0]), b=_B, w=_W), InvalidSpec, "finite"),
+    (lambda: RegressionProblem(a=_EYE, b=_B, w=np.array([1.0, np.inf, 1.0])), InvalidSpec, "finite"),
+    (lambda: RegressionProblem(a=_EYE, b=_B, w=_W, pd_slack=0.0), InvalidSpec, "pd_slack"),
+    (lambda: RegressionProblem(a=_EYE, b=_B, w=_W, sparse_weight=-1.0), InvalidSpec, "sparse_weight"),
+    (lambda: loss(_problem(), np.zeros(2)), InvalidSpec, "shape"),
+    (lambda: gradient(_problem(), np.zeros((3, 1))), InvalidSpec, "shape"),
+    (lambda: loss(_problem(), np.array([0.0, np.nan, 0.0])), NonFinite, "non-finite"),
+    (lambda: gradient(_problem(), np.array([0.0, np.inf, 0.0])), NonFinite, "non-finite"),
+    (lambda: newton_solve(_problem(), x0=np.zeros(4)), InvalidSpec, "x0"),
+    (lambda: random_problem(n=4, d=2, regime="medium"), InvalidSpec, "regime"),
+    (lambda: SubmodularInstance(0, lambda s: 0.0), InvalidSpec, "non-empty"),
+    (lambda: SubmodularInstance.modular([1.0, 2.0]).value({0}), InvalidSpec, "within"),
+    (lambda: SubmodularInstance.modular([1.0, 2.0]).value({1, 3}), InvalidSpec, "within"),
+    (lambda: SubmodularInstance.modular([1.0, -2.0]), InvalidSpec, "non-negative"),
+    (lambda: SubmodularInstance.budget_additive([1.0, -2.0], cap=1.0), InvalidSpec, "non-negative"),
+    (lambda: SubmodularInstance.budget_additive([1.0, 2.0], cap=-1.0), InvalidSpec, "non-negative"),
+], ids=["b-length", "w-length", "nan-a", "inf-w", "pd-slack", "sparse-weight", "loss-x-shape",
+        "gradient-x-shape", "loss-nan-x", "gradient-inf-x", "x0-shape", "regime", "empty-ground-set",
+        "subset-below-1", "subset-above-n", "negative-weight", "negative-budget-weight", "negative-cap"])
+def test_lab_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # --- derivatives against finite differences ------------------------------------------
@@ -297,6 +331,28 @@ def test_newton_evaluates_gradient_and_hessian_once_per_iterate(monkeypatch, see
     r = newton_solve(random_problem(n=10, d=4, seed=seed), tol=1e-10)
     assert r.converged and r.iterations >= 2
     assert calls == {"gradient": r.iterations + 1, "hessian": r.iterations + 1}
+
+
+def test_rank_deficient_problem_takes_the_damped_solve(monkeypatch):
+    # a zero last column makes A, and so every Hessian, singular
+    full = random_problem(n=8, d=3, seed=1)
+    p = RegressionProblem(a=np.insert(full.a, 3, 0.0, axis=1), b=full.b, w=full.w, radius=full.radius)
+    assert p.sigma_min() == 0.0 and p.ridge_floor() == math.inf
+    solve, singular = np.linalg.solve, []
+
+    def spy(h, rhs):
+        try:
+            return solve(h, rhs)
+        except np.linalg.LinAlgError:
+            singular.append(h)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    r = newton_solve(p, tol=1e-10)
+    assert r.converged and singular
+    # the zero column's coordinate never moves; the rest is the full-rank optimum
+    assert r.x[3] == 0.0
+    np.testing.assert_allclose(r.x[:3], newton_solve(full, tol=1e-12).x, atol=1e-9)
 
 
 def test_iteration_cap_returns_the_unconverged_trajectory():
