@@ -99,8 +99,9 @@ class RegressionProblem:
 
     def ridge_floor(self, strong: bool = True) -> float:
         """Per-entry w_i^2 needed for the PD guarantee (strong: solver regime)."""
-        sigma = self.sigma_min()
-        if sigma == 0.0:
+        singular = np.linalg.svd(self.a, compute_uv=False)
+        sigma = float(singular[-1])
+        if sigma <= max(self.n, self.d) * np.finfo(np.float64).eps * singular[0]:  # np.linalg.matrix_rank's test
             return math.inf
         lead = 200.0 * math.exp(self.radius**2) if strong else 20.0
         return lead + self.pd_slack / sigma**2

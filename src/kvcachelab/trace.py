@@ -16,10 +16,12 @@ row-major. A producer outside this package writes one with numpy alone::
         fh.write(np.ascontiguousarray(q, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(k, dtype="<f8").tobytes())
 
-:func:`save_trace` writes JSON instead when the path ends in ``.json``, and
-:func:`load_trace` detects the format by the magic bytes; the JSON format
-and its reader live in :mod:`kvcachelab.jsontrace`, which only a JSON trace
-loads. Both formats round-trip matrices bit-exactly.
+:func:`save_trace` writes JSON instead when the path ends in ``.json``:
+``{"n": N, "d": D, "Q": [row, ...], "K": [row, ...]}`` as ``json.dumps``
+writes it. :func:`load_trace` tells the formats apart by the magic bytes and
+reads no other JSON, so a producer outside this package writes KVT1 as above.
+The JSON codec is :mod:`kvcachelab.jsontrace`, which only a JSON trace loads.
+Both formats round-trip matrices bit-exactly.
 
 Synthetic generators stand in for traces captured from a real model. The
 ``power-law-keys`` kind scales key norms like ``rank**-exponent`` so a small
@@ -240,10 +242,7 @@ def load_trace(path) -> AttentionTrace:
             # the JSON codec is imported only for a file that needs it
             from .jsontrace import read
 
-            try:
-                q, k = read(fh, head, path)
-            except (ValueError, RecursionError) as exc:
-                raise MalformedTrace(f"{path}: neither KVT1 binary nor a JSON object ({exc})") from None
+            q, k = read(fh, head, path)
     try:
         return AttentionTrace._adopt(q, k)
     except InvalidSpec as exc:  # the blocks parsed, but their values break an invariant

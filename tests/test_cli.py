@@ -376,6 +376,26 @@ def test_malformed_json_trace_is_io_error(tmp_path, text):
     assert run("simulate", "--trace", path, "--out-dir", tmp_path / "o") == 3
 
 
+# JSON of a trace that save_trace does not write, and the byte where it departs from save_trace's frame
+_NOT_SAVE_TRACE_JSON = {
+    "indent": (lambda doc: json.dumps(doc, indent=2), lambda text: 1),
+    "key-order": (lambda doc: json.dumps(dict(reversed(doc.items()))), lambda text: 2),
+    "trailing-newline": (lambda doc: json.dumps(doc) + "\n", lambda text: len(text) - 1),
+}
+
+
+@pytest.mark.parametrize("dump, at", _NOT_SAVE_TRACE_JSON.values(), ids=_NOT_SAVE_TRACE_JSON.keys())
+def test_json_that_save_trace_does_not_write_is_io_error(tmp_path, capsys, dump, at):
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=4, d=2, seed=1))
+    text = dump({"n": t.n, "d": t.d, "Q": t.q.tolist(), "K": t.k.tolist()})
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    assert run("simulate", "--trace", path, "--out-dir", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and "Traceback" not in err
+    assert "neither KVT1 nor a JSON trace as save_trace writes it" in err and err.endswith(f" at byte {at(text)}\n")
+
+
 # 2 * d * max|Q| * max|K| beyond float64's range: token 1's logit at step 1 overflows
 _OVERFLOW_Q = [[1e200, 0.0], [1e200, 0.0], [1.0, 0.0]]
 _OVERFLOW_K = [[1e200, 0.0], [1.0, 1.0], [2.0, 0.0]]

@@ -555,3 +555,35 @@ def test_run_policies_of_benchmark_grid_equal_single_runs(decode_shape_trace):
 def test_run_policies_of_no_configs_is_empty():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=8, d=2, seed=1))
     assert kl.run_policies(t, []) == []
+
+
+@st.composite
+def _prefix_runs(draw):
+    n = draw(st.integers(2, 80))
+    m = draw(st.integers(1, n - 1))
+    spec = kl.SyntheticTraceSpec(
+        n=n,
+        d=draw(st.integers(1, 8)),
+        kind=draw(st.sampled_from(TRACE_KINDS)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    # budgets below the prefix, and at or above it
+    budget = draw(st.integers(1, m) | st.integers(m, n + 2))
+    return spec, m, budget, draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.integers(0, 6)), draw(st.integers(1, 6))
+
+
+@pytest.mark.parametrize("kind", kl.POLICY_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(run=_prefix_runs())
+def test_a_prefix_of_the_trace_runs_the_prefix_of_the_schedule(kind, run):
+    # step i sees only tokens 1..i, so a run on trace[:m] is the full run's
+    # first m steps: a token evicted after step m is never evicted there
+    spec, m, budget, recent_frac, sink, stride = run
+    t = kl.generate_trace(spec)
+    prefix = kl.AttentionTrace(q=t.q[:m], k=t.k[:m])
+    cfg = kl.PolicyConfig(kind=kind, budget=budget, recent_frac=recent_frac, sink=sink, stride=stride)
+    full, head = kl.run_policy(t, cfg), kl.run_policy(prefix, cfg)
+    np.testing.assert_array_equal(head, np.where(full[:m] > m, m + 1, full[:m]))
+    want, got = kl.deviation_reports(t, [full])[0], kl.deviation_reports(prefix, [head])[0]
+    np.testing.assert_allclose(got.retained, want.retained[:m], rtol=0, atol=METRIC_ATOL)
+    np.testing.assert_allclose(got.tv, want.tv[:m], rtol=0, atol=METRIC_ATOL)

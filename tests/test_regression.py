@@ -355,6 +355,14 @@ def test_rank_deficient_problem_takes_the_damped_solve(monkeypatch):
     np.testing.assert_allclose(r.x[:3], newton_solve(full, tol=1e-12).x, atol=1e-9)
 
 
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_a_zero_column_anywhere_gives_an_infinite_ridge_floor(at):
+    # the SVD of A with a zero column at index 1 gives sigma_min 2.75e-17, not 0.0
+    full = random_problem(n=8, d=3, seed=1)
+    p = RegressionProblem(a=np.insert(full.a, at, 0.0, axis=1), b=full.b, w=full.w, radius=full.radius)
+    assert p.ridge_floor() == p.ridge_floor(strong=False) == math.inf
+
+
 def test_iteration_cap_returns_the_unconverged_trajectory():
     p = random_problem(n=8, d=4, seed=3, regime="strong")
     r = newton_solve(p, x0=np.full(4, 0.3), tol=1e-10, max_iter=0)
