@@ -21,13 +21,14 @@ converge exits 0 and writes ``"converged": false``.
 
 Budgets accept an absolute count (``--budget 64``) or a fraction of the
 trace length (``--budget 20%``, floor-rounded, minimum 2). ``compare``
-decodes all of its (policy, budget) cells in one pass (a shared fill, then
-the cells of each cache size in lockstep; see :mod:`kvcachelab.policies`),
-which returns each cell's eviction schedule, then measures every cell in
-one shared pass over the exact attention map; ``simulate`` makes the same
-passes for its one run, so a cell's numbers equal the matching
-``simulate`` summary. Budget specs that resolve to one budget, in
-``--budgets`` or in its default grid on a short trace, are one cell.
+decodes all of its (policy, budget) cells in one pass (local and sink_local
+in closed form, the others through a shared fill and then in lockstep per
+cache size; see :mod:`kvcachelab.policies`), which returns each cell's
+eviction schedule, then measures every cell in one shared pass over the
+exact attention map; ``simulate`` makes the same passes for its one run,
+so a cell's numbers equal the matching ``simulate`` summary. Budget specs
+that resolve to one budget, in ``--budgets`` or in its default grid on a
+short trace, are one cell.
 ``profile`` decodes nothing: it reads full attention's accumulated scores
 off the exact attention map.
 

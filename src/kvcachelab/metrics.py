@@ -114,19 +114,27 @@ def deviation_reports(trace: AttentionTrace, schedules: Sequence[np.ndarray]) ->
     Each schedule is a run's ``evicted_at`` vector. The exact blocks are
     computed once for all of them, and each schedule's sums are taken on
     its own, so a run's numbers do not depend on which runs share the pass.
+    A block that ends before a schedule's first eviction holds none of its
+    evicted tokens, so the schedule skips it: its off-cache mass there is
+    0.0, as the sums would give.
     """
     n = trace.n
     for evicted_at in schedules:
         if len(evicted_at) != n:
             raise InvalidSpec(f"schedule has n={len(evicted_at)}, trace has n={n}")
-    off = np.empty((len(schedules), n))
+    # each schedule's first eviction step, n + 1 when it evicts nothing
+    first = [int(np.min(evicted_at)) for evicted_at in schedules]
+    off = np.zeros((len(schedules), n))
     for lo, e in _exact_blocks(trace):
         hi = e.shape[1]
+        runs = [run for run, step in enumerate(first) if step <= hi]
+        if not runs:
+            continue
         steps = np.arange(lo + 1, hi + 1)[:, None]
         totals = e.sum(axis=1)
-        for run, evicted_at in enumerate(schedules):
+        for run in runs:
             # a future token t > i has evicted_at[t] >= t > i, so only t <= i can count
-            gone = evicted_at[:hi] <= steps
+            gone = schedules[run][:hi] <= steps
             off[run, lo:hi] = (e * gone).sum(axis=1) / totals
     return [
         DeviationReport(retained=np.maximum(1.0 - row, 0.0), tv=np.minimum(row, 1.0))

@@ -47,29 +47,44 @@ incoming key in row k), ``slot_tok`` (the token in each slot) and
 weight). An admitted token overwrites its victim's slot in place, as a KV
 cache does, so a step never scans or gathers by token.
 
+A cell at budget n or more never evicts, so it decodes no step. local and
+sink_local are first-in first-out caches, whose victims read no weight or
+score, so their cells decode no step either: with s = 0 for local and
+s = min(sink, k) for sink_local, token t in s < t <= n - (k - s) leaves at
+step t + k - s, and every other token is never evicted (at s = k every
+token after k is refused). The other kinds run the decode.
+
 The fill is shared. While a cache fills, slot s holds token s + 1 whatever
 the policy, and the products read the trace's keys directly, so the fill
-runs once, up to the largest cache size k = min(budget, n) below n. A cell
-at size k starts from the fill's scores after step k; a cell at budget n
-or more never evicts, so it decodes no step. The cells that share a k < n
-are lanes that step in lockstep, one budget group at a time: lane l's
-cache is row l of ``(lanes, k + 1, d)`` keys and ``(lanes, k + 1)`` tokens
-and scores. A step is one stacked matmul, which runs each lane's own gemv,
-and one softmax along the rows with the reference arithmetic; ``decide``
-and the admission then run per lane on its row views. A single
-(lanes * (k + 1), d) gemv would be faster but rounds differently, so a
-cell's schedule would depend on its group; with the stacked product every
-schedule is bit for bit the one its config gives alone.
+runs once, up to the largest decoded cache size k = min(budget, n) below
+n. A decoded cell at size k starts from the fill's scores after step k.
+The decoded cells that share a k < n are lanes that step in lockstep, one
+budget group at a time: lane l's cache is row l of ``(lanes, k + 1, d)``
+keys and ``(lanes, k + 1)`` tokens and scores. A step is one stacked
+matmul, which runs each lane's own gemv, and one softmax along the rows
+with the reference arithmetic; each lane's victim rule and the admission
+then run on its row views. A single (lanes * (k + 1), d) gemv would be
+faster but rounds differently, so a cell's schedule would depend on its
+group; with the stacked product every schedule is bit for bit the one its
+config gives alone.
 
-:func:`decide` takes its arrays in slot order, with the incoming token
-last, and returns the victim's index into them (the last index refuses the
-incoming token). Every tie goes to the lowest token, so the victim does
-not depend on the slot order and a simulation is a pure function of
-(trace, config). The loop makes decisions and does not measure: a run's
-only record is its eviction schedule ``evicted_at``, an int64 array that
-holds for each token (0-based row t - 1) the step at which it left the
-cache, ``t`` itself when it was refused and ``n + 1`` when it was never
-evicted. Token t is in the cached set S_i after step i's transition exactly
+A lane chooses its victim rule once, before the loop. topk and the sparse
+kinds call :func:`decide`. h2_only, and h2o at r = 0, take the argmin of the
+lane's scores. h2o at r >= 1 keeps a slot-aligned penalty, 0 at a
+candidate and +inf at a shielded slot: at step i token i - r becomes a
+candidate, an admitted token takes the shield, and the victim is the
+argmin of score + penalty. Every rule gives ``decide``'s victim, ties to
+the lowest token included.
+
+:func:`decide` is the definition of every rule. It takes its arrays in
+slot order, with the incoming token last, and returns the victim's index
+into them (the last index refuses the incoming token). Every tie goes to
+the lowest token, so the victim does not depend on the slot order and a
+simulation is a pure function of (trace, config). The loop makes decisions
+and does not measure: a run's only record is its eviction schedule
+``evicted_at``, an int64 array that holds for each token (0-based row
+t - 1) the step at which it left the cache, ``t`` itself when it was
+refused and ``n + 1`` when it was never evicted. Token t is in the cached set S_i after step i's transition exactly
 when ``t <= i < evicted_at[t - 1]``; step i's victim is the token whose
 ``evicted_at`` is i, and the fill's steps have none. The config is the
 caller's and n is the schedule's length, so the array is the whole record.
@@ -246,18 +261,35 @@ def run_policy(trace: AttentionTrace, policy: PolicyConfig) -> np.ndarray:
     return run_policies(trace, [policy])[0]
 
 
+def _undecoded_schedule(policy: PolicyConfig, n: int, k: int) -> np.ndarray | None:
+    """``evicted_at`` of a cell at cache size k that decodes no step, or None for a decoded cell.
+
+    A cell at k = n evicts nothing; local and sink_local take their closed
+    form (see the module docstring).
+    """
+    if k < n and policy.kind not in ("local", "sink_local"):
+        return None
+    s = min(policy.sink, k) if policy.kind == "sink_local" else 0
+    evicted_at = np.full(n, n + 1, dtype=np.int64)
+    # token t in s < t <= n - (k - s) leaves at step t + k - s; at k = n no token does
+    evicted_at[s:n - k + s] = np.arange(k + 1, n + 1)
+    return evicted_at
+
+
 def run_policies(trace: AttentionTrace, configs: Iterable[PolicyConfig]) -> list[np.ndarray]:
     """Run every config over one trace in one pass; one ``evicted_at`` per config, in order.
 
     Each schedule equals what a run of its config alone gives, bit for bit:
-    the fill is shared, and the cells of each cache size k < n then step in
-    lockstep (see the module docstring).
+    local and sink_local cells take their closed form, the fill is shared,
+    and the other cells of each cache size k < n then step in lockstep (see
+    the module docstring).
     """
     n, keys, queries = trace.n, trace.k, trace.q
     configs = list(configs)
     sizes = [min(p.budget, n) for p in configs]
-    schedules = [np.full(n, n + 1, dtype=np.int64) if size == n else None for size in sizes]
-    evicting = sorted(set(sizes) - {n})
+    schedules = [_undecoded_schedule(p, n, size) for p, size in zip(configs, sizes)]
+    decoded = [c for c, evicted_at in enumerate(schedules) if evicted_at is None]
+    evicting = sorted({sizes[c] for c in decoded})
     fill_score = np.zeros(max(evicting, default=0) + 1)
     fill_steps = 0  # the steps the fill has run
     for k in evicting:
@@ -265,10 +297,42 @@ def run_policies(trace: AttentionTrace, configs: Iterable[PolicyConfig]) -> list
         for i in range(fill_steps + 1, k + 1):
             fill_score[:i] += _softmax(keys[:i] @ queries[i - 1])
         fill_steps = k
-        lanes = [c for c, size in enumerate(sizes) if size == k]
+        lanes = [c for c in decoded if sizes[c] == k]
         for c, evicted_at in zip(lanes, _lockstep(trace, [configs[c] for c in lanes], fill_score[:k + 1])):
             schedules[c] = evicted_at
     return schedules
+
+
+def _victim_rule(policy: PolicyConfig, k: int, tok: np.ndarray, weights: np.ndarray, scores: np.ndarray):
+    """A lockstep lane's victim rule: ``rule(i)`` is ``decide``'s victim at step i.
+
+    ``tok``, ``weights`` and ``scores`` are the lane's slot-aligned rows,
+    the incoming token in slot k, as ``decide`` takes them. h2o at r >= 1
+    updates its penalty as step i moves token i - r out of the window and
+    the admitted token i into it. The trace bounds every logit, so the
+    scores are finite and ``scores + penalty`` equals ``decide``'s masked
+    scores.
+    """
+    r = policy.recent_budget if policy.kind == "h2o" else 0
+    if policy.kind not in ("h2o", "h2_only"):
+        return lambda i: decide(policy, tok, weights, scores)
+    if r == 0:
+        return lambda i: _argmin_lowest_token(scores, tok)
+    # after step k the candidates are tokens 1..k - r, in slots 0..k - r - 1
+    penalty = np.full(k + 1, np.inf)
+    penalty[:k - r] = 0.0
+    slot_of = list(range(k))  # token t's slot, at index t - 1
+    masked = np.empty(k + 1)
+
+    def rule(i: int) -> int:
+        penalty[slot_of[i - r - 1]] = 0.0  # token i - r leaves the window
+        v = _argmin_lowest_token(np.add(scores, penalty, out=masked), tok)
+        # the incoming token is shielded, so v < k: token i takes slot v and its shield
+        penalty[v] = np.inf
+        slot_of.append(v)
+        return v
+
+    return rule
 
 
 def _lockstep(trace: AttentionTrace, configs: list[PolicyConfig], filled: np.ndarray) -> list[np.ndarray]:
@@ -287,21 +351,23 @@ def _lockstep(trace: AttentionTrace, configs: list[PolicyConfig], filled: np.nda
     # the incoming slot of every lane, and the buffer of a step's weights
     key_in, tok_in, score_in = slot_keys[:, k], slot_tok[:, k], slot_score[:, k]
     weights = np.empty(slot_score.shape)
-    # per lane: its config, row views and evictions
+    # per lane: its victim rule, row views and evictions
     lanes = [
-        (p, slot_keys[l], slot_tok[l], weights[l], slot_score[l], np.full(n, n + 1, dtype=np.int64))
+        (_victim_rule(p, k, slot_tok[l], weights[l], slot_score[l]), slot_keys[l], slot_tok[l], slot_score[l],
+         np.full(n, n + 1, dtype=np.int64))
         for l, p in enumerate(configs)
     ]
     for i in range(k + 1, n + 1):
         key_in[...] = keys[i - 1]
+        # slot k takes the incoming token, its score 0 until the step's weight is added
         tok_in.fill(i)
         score_in.fill(0.0)
         # a stacked product runs the single-lane gemv per lane; one flattened
         # (lanes * (k + 1), d) gemv would round differently
         np.matmul(slot_keys, queries[i - 1], out=weights)
         slot_score += _softmax(weights)
-        for policy, lane_keys, tok, w, score, evicted_at in lanes:
-            v = decide(policy, tok, w, score)
+        for victim, lane_keys, tok, score, evicted_at in lanes:
+            v = victim(i)
             evicted_at[tok[v] - 1] = i
             if v < k:  # the incoming token takes the victim's slot
                 lane_keys[v] = lane_keys[k]

@@ -59,6 +59,19 @@ def test_schedule_that_evicts_nothing_is_exactly_full_attention():
     assert shared.retained.tobytes() == alone.retained.tobytes() and shared.tv.tobytes() == alone.tv.tobytes()
 
 
+@pytest.mark.parametrize("first", [127, 128])
+def test_first_eviction_at_the_edge_of_an_exact_block(first):
+    # n = 257 gives 127-row exact blocks: the first eviction lands on the
+    # first block's last row (step 127) or on the next block's first row
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=257, d=8, kind="power-law-keys", seed=4))
+    cfg = kl.PolicyConfig(kind="local", budget=first - 1)
+    rep = kl.deviation_reports(t, [kl.run_policy(t, cfg)])[0]
+    # nothing is gone before the first eviction, and token 1's mass is from it on
+    assert (rep.tv[:first - 1] == 0.0).all() and rep.tv[first - 1] > 0.0
+    _, tv = ref.retained_mass(t, ref.run_policy(t, cfg))
+    np.testing.assert_allclose(rep.tv, tv, rtol=0, atol=64 * np.finfo(np.float64).eps)
+
+
 def test_singleton_cache_retained_mass_is_self_weight():
     t = kl.generate_trace(kl.SyntheticTraceSpec(n=12, d=4, seed=5))
     rep = kl.deviation_reports(t, [kl.run_policy(t, kl.PolicyConfig(kind="local", budget=1))])[0]

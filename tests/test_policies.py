@@ -313,6 +313,7 @@ def test_determinism():
     with _engine_decisions() as second:
         b = kl.run_policy(t, cfg)
     np.testing.assert_array_equal(a, b)
+    assert len(first) == t.n - 10
     assert first == second
 
 
@@ -388,36 +389,60 @@ def test_oracle_imports_only_types_errors_and_predicates():
 METRIC_ATOL = 64 * np.finfo(np.float64).eps
 
 
+# the kinds whose decisions read scores or weights; local and sink_local take
+# a closed form that reads neither, and are pinned by == on evicted_at
+SCORE_KINDS = ("h2o", "h2_only", "topk")
+
+
 @contextmanager
-def _decisions(module, scores_of):
-    """Record ``(policy, {token: score})`` at every call of ``module.decide`` in the block."""
+def _engine_decisions():
+    """Record ``(policy, {token: score})`` at every call of a lockstep lane's victim rule in the block."""
     calls = []
-    real = module.decide
+    real = policies._victim_rule
 
-    def spy(policy, *args):
-        calls.append((policy, scores_of(*args)))
-        return real(policy, *args)
+    def spy(policy, k, tok, weights, scores):
+        rule = real(policy, k, tok, weights, scores)
 
-    with mock.patch.object(module, "decide", spy):
+        def recorded(i):
+            # the lane's rows in slot order, the incoming token i in slot k
+            calls.append((policy, dict(zip(tok.tolist(), scores.tolist()))))
+            return rule(i)
+
+        return recorded
+
+    with mock.patch.object(policies, "_victim_rule", spy):
         yield calls
 
 
-def _engine_decisions():
-    # decide(policy, tokens, weights, scores), arrays in slot order with the incoming token last
-    return _decisions(policies, lambda tokens, weights, scores: dict(zip(tokens.tolist(), scores.tolist())))
-
-
+@contextmanager
 def _reference_decisions():
-    # decide(policy, scores, cache, weights, i); the oracle deletes the victim's score afterwards
-    return _decisions(ref, lambda scores, cache, weights, i: dict(scores))
+    """Record ``(policy, {token: score})`` at every call of the oracle's decide in the block."""
+    calls = []
+    real = ref.decide
+
+    def spy(policy, scores, *args):
+        # the oracle deletes the victim's score afterwards, so record a copy
+        calls.append((policy, dict(scores)))
+        return real(policy, scores, *args)
+
+    with mock.patch.object(ref, "decide", spy):
+        yield calls
 
 
 def _scores_seen(calls):
-    """The ``{token: score}`` of each decision, keyed by the id of the config that made it."""
+    """The ``{token: score}`` of each score-kind decision, keyed by the id of the config that made it."""
     cells = defaultdict(list)
     for policy, scores in calls:
-        cells[id(policy)].append(scores)
+        if policy.kind in SCORE_KINDS:
+            cells[id(policy)].append(scores)
     return cells
+
+
+def _assert_decision_counts(cells, configs, n):
+    """Every score-kind cell decided once at each of its n - min(budget, n) evicting steps."""
+    for cfg in configs:
+        if cfg.kind in SCORE_KINDS:
+            assert len(cells[id(cfg)]) == n - min(cfg.budget, n)
 
 
 def _reference_evicted_at(record):
@@ -435,8 +460,11 @@ def _assert_matches_reference(t, cfg):
     with _reference_decisions() as want_seen:
         want = ref.run_policy(t, cfg)
     np.testing.assert_array_equal(got, _reference_evicted_at(want))
-    # every decision saw the oracle's accumulated scores, bit for bit
-    assert _scores_seen(seen) == _scores_seen(want_seen)
+    # every score-kind decision saw the oracle's accumulated scores, bit for bit
+    cells, want_cells = _scores_seen(seen), _scores_seen(want_seen)
+    _assert_decision_counts(cells, [cfg], t.n)
+    _assert_decision_counts(want_cells, [cfg], t.n)
+    assert cells == want_cells
     retained, tv = ref.retained_mass(t, want)
     rep = kl.deviation_reports(t, [got])[0]
     # the metric clamps the retained mass into [0, 1]; TV is the reference's literal formula
@@ -490,6 +518,34 @@ def test_engine_matches_reference_at_benchmark_shape(decode_shape_trace, kind, b
     _assert_matches_reference(decode_shape_trace, kl.PolicyConfig(kind=kind, budget=budget))
 
 
+def test_exact_ties_through_the_engine_evict_the_lowest_token():
+    # token 1's key dominates every softmax, so each other weight underflows
+    # to exactly 0.0 and every other token ties at score 0.0; a token admitted
+    # into a low slot then sits before lower tied tokens in slot order
+    n, k = 24, 8
+    keys = np.zeros((n, 1))
+    keys[0] = 1000.0
+    t = kl.AttentionTrace(q=np.ones((n, 1)), k=keys)
+    # the lowest tied candidate goes first: a first-in first-out cache behind token 1
+    want = kl.run_policy(t, kl.PolicyConfig(kind="sink_local", budget=k, sink=1))
+    np.testing.assert_array_equal(want[1:n - k + 1], np.arange(k + 1, n + 1))
+    for cfg in (kl.PolicyConfig(kind="h2_only", budget=k), kl.PolicyConfig(kind="h2o", budget=k, recent_frac=0.25)):
+        np.testing.assert_array_equal(kl.run_policy(t, cfg), want)
+        _assert_matches_reference(t, cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 80), data=st.data())
+def test_fifo_closed_form_matches_reference(n, data):
+    # local and sink_local read no score, so one tiny trace serves every (n, k, sink)
+    t = kl.generate_trace(kl.SyntheticTraceSpec(n=n, d=1, seed=0))
+    k = data.draw(st.integers(1, n + 2), label="budget")
+    sink = data.draw(st.sampled_from([0, 1, k - 1, k, k + 2]), label="sink")
+    for kind in ("local", "sink_local"):
+        cfg = kl.PolicyConfig(kind=kind, budget=k, sink=sink)
+        np.testing.assert_array_equal(kl.run_policy(t, cfg), _reference_evicted_at(ref.run_policy(t, cfg)))
+
+
 # --- many cells in one pass ------------------------------------------------------------
 
 @st.composite
@@ -531,11 +587,14 @@ def test_run_policies_matches_reference_per_cell(grid):
         schedules = kl.run_policies(t, configs)
     assert len(schedules) == len(configs)
     cells = _scores_seen(seen)
+    _assert_decision_counts(cells, configs, t.n)
     for cfg, got in zip(configs, schedules):
         with _reference_decisions() as want_seen:
             want = ref.run_policy(t, cfg)
         np.testing.assert_array_equal(got, _reference_evicted_at(want))
-        assert cells[id(cfg)] == _scores_seen(want_seen)[id(cfg)]
+        want_cells = _scores_seen(want_seen)
+        _assert_decision_counts(want_cells, [cfg], t.n)
+        assert cells[id(cfg)] == want_cells[id(cfg)]
 
 
 def test_run_policies_of_benchmark_grid_equal_single_runs(decode_shape_trace):
@@ -545,11 +604,14 @@ def test_run_policies_of_benchmark_grid_equal_single_runs(decode_shape_trace):
     with _engine_decisions() as seen:
         schedules = kl.run_policies(t, configs)
     cells = _scores_seen(seen)
+    _assert_decision_counts(cells, configs, t.n)
     for cfg, got in zip(configs, schedules):
         with _engine_decisions() as alone:
             want = kl.run_policy(t, cfg)
         np.testing.assert_array_equal(got, want)
-        assert cells[id(cfg)] == _scores_seen(alone)[id(cfg)]
+        alone_cells = _scores_seen(alone)
+        _assert_decision_counts(alone_cells, [cfg], t.n)
+        assert cells[id(cfg)] == alone_cells[id(cfg)]
 
 
 def test_run_policies_of_no_configs_is_empty():
